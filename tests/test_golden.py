@@ -1,0 +1,117 @@
+"""Golden logs: SHA-256 of `stpafl run` outputs for short fixed configs.
+
+A refactor that claims "same behaviour" must leave these hashes unchanged. A
+change that moves an output on purpose regenerates them in the same commit and
+says which value moved and why. To print the current hashes:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from stpafl import cli
+
+SMALL_BLOBS = {"kind": "blobs", "samples_per_class": 40, "test_samples_per_class": 20}
+
+CONFIGS = {
+    "stpa_silo_alie": {
+        "scenario": "cross_silo", "n_clients": 20, "n_malicious": 7,
+        "clients_per_round": 20, "rounds": 30, "seed": 3,
+        "attack": {"kind": "alie", "epsilon": 1.5},
+        "rule": {"kind": "stpa"},
+        "stpa": {"eta0": 1.6, "inner_rule": {"kind": "fed_avg"}},
+        "data": {**SMALL_BLOBS, "spread": 2.0},
+    },
+    "stpa_device_ipm": {
+        "scenario": "cross_device", "n_clients": 90, "n_malicious": 30,
+        "clients_per_round": 40, "rounds": 20, "seed": 4,
+        "attack": {"kind": "ipm", "epsilon": 1.0},
+        "rule": {"kind": "stpa"},
+        "data": SMALL_BLOBS,
+    },
+    "stpa_device_label_flip_trimmed": {
+        "scenario": "cross_device", "n_clients": 60, "n_malicious": 20,
+        "clients_per_round": 30, "rounds": 20, "seed": 5,
+        "attack": {"kind": "label_flip", "target": 0},
+        "rule": {"kind": "stpa"},
+        "stpa": {"inner_rule": {"kind": "trimmed_mean", "gamma": 0.2}},
+        "data": SMALL_BLOBS,
+    },
+    "krum_silo_gauss_mlp": {
+        "scenario": "cross_silo", "n_clients": 12, "n_malicious": 4,
+        "clients_per_round": 12, "rounds": 15, "seed": 6,
+        "attack": {"kind": "byzantine_gaussian", "sigma": 20.0},
+        "rule": {"kind": "krum", "f": 4, "m": 2},
+        "model": {"kind": "mlp", "hidden": 16},
+        "data": SMALL_BLOBS,
+    },
+    "median_silo_noisy": {
+        "scenario": "cross_silo", "n_clients": 10, "n_malicious": 3,
+        "clients_per_round": 10, "rounds": 20, "seed": 7,
+        "attack": {"kind": "noisy"},
+        "rule": {"kind": "coordinate_median"},
+        "data": SMALL_BLOBS,
+    },
+    "fed_avg_device_label_flip_shards": {
+        "scenario": "cross_device", "n_clients": 20, "n_malicious": 4,
+        "clients_per_round": 8, "rounds": 20, "seed": 8,
+        "attack": {"kind": "label_flip", "target": 0},
+        "rule": {"kind": "fed_avg"},
+        "partition": {"scheme": "noniid_shards", "shards_per_client": 2, "shard_size": 10},
+        "data": SMALL_BLOBS,
+    },
+}
+
+GOLDEN = {
+    "fed_avg_device_label_flip_shards": {
+        "rounds.jsonl": "401427dc49848505f82839f2942d3491c868fd14403c461256bacbf8c87767b1",
+        "summary.csv": "4b06a98084561d41f07be775075ec3d7fe3b3dec4e5691082bac32c3b5988bc2",
+    },
+    "krum_silo_gauss_mlp": {
+        "rounds.jsonl": "4573d6ed04863dbf470f834f3a527c756bc3cd70753157c8bc0a9d2b8867adf6",
+        "summary.csv": "ba9a776a9439c808e76794799546d29e6df4e69ceef480bd16485b8c9b04463c",
+    },
+    "median_silo_noisy": {
+        "rounds.jsonl": "95bea699ad25c93d81fbf9dbfa6007b1fe2ce6b508b5f91c38684ce527a7f99b",
+        "summary.csv": "93acdfbf78d8673698d2ff1bc64ac263d3fb27d3de4f53d0ac7edd50f7f707f4",
+    },
+    "stpa_device_ipm": {
+        "rounds.jsonl": "121ade98de99f96db66d44f0b9e1776054ba481da15b2819cc4b4736e4bcea41",
+        "summary.csv": "be8e604742320f31fbde896d81993c71cd9f61401aa9cbf27cf6f29d8b3c3e16",
+    },
+    "stpa_device_label_flip_trimmed": {
+        "rounds.jsonl": "5e8a72e218ea0181ddd1b561942234104d96570bd07a06457c364996828b67ce",
+        "summary.csv": "29c6a0a2dc24d1ef88d524def112262230e63362f3f54dd7f53c6e1cac1d677a",
+    },
+    "stpa_silo_alie": {
+        "rounds.jsonl": "aebe85dde7ef6077a5b59c4ba7b14225e3633bac3a23dd0670a40ef67498ec89",
+        "summary.csv": "1b0509160007629ea5b07488ce7ae61fbe15b80419ac7a2bb1d07d34442e3822",
+    },
+}
+
+
+def run_hashes(cfg: dict, workdir: Path) -> dict:
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = workdir / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("rounds.jsonl", "summary.csv")
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_outputs(name, tmp_path):
+    assert run_hashes(CONFIGS[name], tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(CONFIGS):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {name!r}: {run_hashes(CONFIGS[name], Path(tmp))!r},")
