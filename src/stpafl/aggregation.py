@@ -73,8 +73,10 @@ def krum_scores(updates: list[ClientUpdate], f: int) -> np.ndarray:
     n = X.shape[0]
     if n - f - 2 < 1:
         raise ValueError(f"krum needs n - f - 2 >= 1, got n={n}, f={f}")
-    diffs = X[:, None, :] - X[None, :, :]
-    D = np.sqrt((diffs * diffs).sum(axis=2))
+    D = np.zeros((n, n))
+    for k in range(n - 1):
+        diff = X[k + 1 :] - X[k]
+        D[k, k + 1 :] = D[k + 1 :, k] = np.sqrt((diff * diff).sum(axis=1))
     scores = np.empty(n)
     for k in range(n):
         others = np.delete(D[k], k)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import AggregationRule, apply_rule
-from .vectors import ClientUpdate, cosine_similarity
+from .vectors import ZERO_NORM_EPS, ClientUpdate, cosine_similarity
 
 DEFAULT_INNER_RULE = AggregationRule("coordinate_median")
 
@@ -64,77 +64,72 @@ class StepOutcome:
 
 
 def build_affinity(global_model: np.ndarray, updates: list[ClientUpdate]) -> np.ndarray:
-    """Pairwise cosine similarities of pseudo-gradients w_t - w^i, diagonal 1."""
+    """Pairwise cosine similarities of pseudo-gradients w_t - w^i, diagonal 1.
+
+    Rows with norm below ZERO_NORM_EPS get similarity 0 to every other row,
+    as in cosine_similarity. The result is exactly symmetric.
+    """
     n = len(updates)
     if n < 2:
         raise ValueError("need at least 2 updates to build an affinity matrix")
-    deltas = [global_model - u.model for u in updates]
-    S = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            S[i, j] = S[j, i] = cosine_similarity(deltas[i], deltas[j])
+    X = global_model - np.stack([u.model for u in updates])
+    norms = np.linalg.norm(X, axis=1)
+    live = norms >= ZERO_NORM_EPS
+    norms[~live] = 1.0
+    S = (X @ X.T) / np.outer(norms, norms)
+    S[~live] = 0.0
+    S[:, ~live] = 0.0
+    np.clip(S, -1.0, 1.0, out=S)
+    np.fill_diagonal(S, 1.0)
     return S
 
 
 def bipartition(S: np.ndarray) -> tuple[tuple, tuple]:
     """Complete-linkage agglomeration on distance 1 - s, stopped at 2 clusters.
 
-    Merge ties break lexicographically on (min slot of first, min slot of
-    second) with the pair ordered by min slot. Returned clusters are sorted
-    slot tuples, ordered by their smallest slot.
+    S must be symmetric. Merge ties break lexicographically on (min slot of
+    first, min slot of second) with the pair ordered by min slot. Returned
+    clusters are sorted slot tuples, ordered by their smallest slot.
     """
     n = S.shape[0]
     if n < 2:
         raise ValueError("need at least 2 slots to bipartition")
-    clusters = [(i,) for i in range(n)]
-    D = 1.0 - S.astype(np.float64)
+    # Each cluster lives at the row of its smallest slot; retired rows are inf.
+    # D stays symmetric, so the first row-major minimum is the smallest
+    # (d, min slot a, min slot b) key, with a < b.
+    D = 1.0 - np.asarray(S, dtype=np.float64)
     np.fill_diagonal(D, np.inf)
-    while len(clusters) > 2:
-        m = len(clusters)
-        best_key = None
-        best_pair = None
-        for a in range(m):
-            for b in range(a + 1, m):
-                key = (D[a, b], clusters[a][0], clusters[b][0])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pair = (a, b)
-        a, b = best_pair
-        merged = tuple(sorted(clusters[a] + clusters[b]))
-        new_row = np.maximum(D[a], D[b])
-        keep = [i for i in range(m) if i != b]
-        D = D[np.ix_(keep, keep)]
-        row = np.delete(new_row, b)
-        D[a, :] = row
-        D[:, a] = row
-        D[a, a] = np.inf
-        clusters = [merged if i == a else clusters[i] for i in keep]
-    return clusters[0], clusters[1]
+    members = {i: [i] for i in range(n)}
+    for _ in range(n - 2):
+        a, b = divmod(int(np.argmin(D)), n)
+        np.maximum(D[a], D[b], out=D[a])
+        D[:, a] = D[a]
+        D[b] = np.inf
+        D[:, b] = np.inf
+        members[a] += members.pop(b)
+    c1, c2 = (tuple(sorted(m)) for m in members.values())
+    return c1, c2
 
 
 def cross_similarity(S: np.ndarray, c1, c2) -> float:
-    return float(max(S[i, j] for i in c1 for j in c2))
+    return float(S[np.ix_(c1, c2)].max())
 
 
-def split_decision(S: np.ndarray, c1, c2, s_t: float) -> tuple:
+def split_decision(cross: float, c1, c2, s_t: float) -> tuple:
     """Keep the larger cluster when the clusters are clearly separated.
 
     The split only proceeds when the max cross-cluster similarity is strictly
     below s_t; equal-size ties are treated as inconclusive and keep the union.
     """
-    cross = cross_similarity(S, c1, c2)
     if cross < s_t and len(c1) != len(c2):
-        benign = c1 if len(c1) > len(c2) else c2
-    else:
-        benign = tuple(sorted(c1 + c2))
-    return benign
+        return c1 if len(c1) > len(c2) else c2
+    return tuple(sorted(c1 + c2))
 
 
 def partition_round(S: np.ndarray, s_t: float) -> ClusterPartition:
     c1, c2 = bipartition(S)
-    return ClusterPartition(
-        c1, c2, cross_similarity(S, c1, c2), split_decision(S, c1, c2, s_t)
-    )
+    cross = cross_similarity(S, c1, c2)
+    return ClusterPartition(c1, c2, cross, split_decision(cross, c1, c2, s_t))
 
 
 def momentum_step(state: MomentumState, delta_w: np.ndarray, beta: float) -> MomentumState:

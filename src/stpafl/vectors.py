@@ -1,4 +1,4 @@
-"""Flat parameter-vector arithmetic shared by every other module.
+"""Flat parameter vectors, the zero-norm cosine convention and ClientUpdate.
 
 Vectors are 1-D float64 numpy arrays. Cosine similarity follows a zero-norm
 convention: a vector with norm below ZERO_NORM_EPS carries no directional
@@ -33,46 +33,17 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    _check_dims(a, b)
-    return float(a @ b)
-
-
-def norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the angle between a and b, clamped to [-1, 1].
 
     Returns 0.0 if either vector has norm below ZERO_NORM_EPS.
     """
     _check_dims(a, b)
-    na = norm(a)
-    nb = norm(b)
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
     if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
         return 0.0
-    return float(np.clip(dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    _check_dims(a, b)
-    return float(np.linalg.norm(a - b))
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """alpha * x + y."""
-    _check_dims(x, y)
-    return alpha * x + y
-
-
-def scale(alpha: float, x: np.ndarray) -> np.ndarray:
-    return alpha * x
-
-
-def subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_dims(a, b)
-    return a - b
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,20 @@ def krum_oracle(X, f, m):
     return order[:m]
 
 
+def krum_scores_reference(updates, f):
+    """Full n x n x d difference tensor, then per-row sorted partial sums."""
+    X = np.stack([u.model for u in updates])
+    n = X.shape[0]
+    diffs = X[:, None, :] - X[None, :, :]
+    D = np.sqrt((diffs * diffs).sum(axis=2))
+    scores = np.empty(n)
+    for k in range(n):
+        others = np.delete(D[k], k)
+        others.sort()
+        scores[k] = others[: n - f - 2].sum()
+    return scores
+
+
 # ---------------------------------------------------------------- fed_avg
 
 def test_fed_avg_single_update_identity():
@@ -132,6 +146,15 @@ def test_krum_matches_oracle():
     X = rng.standard_normal((8, 4))
     u = mk(list(X))
     assert aggregation.krum_selection(u, 2, 3) == krum_oracle(X, 2, 3)
+
+
+@pytest.mark.parametrize("n, d, f", [(3, 1, 0), (8, 5, 2), (20, 6210, 7), (30, 210, 9)])
+def test_krum_scores_match_reference(n, d, f):
+    rng = np.random.default_rng(n * d)
+    X = rng.standard_normal((n, d))
+    X[1] = X[0]  # a duplicate gives an exact zero distance
+    u = mk(list(X * rng.uniform(0.1, 100.0, size=(n, 1))))
+    assert np.array_equal(aggregation.krum_scores(u, f), krum_scores_reference(u, f))
 
 
 def test_krum_parameter_validation():

@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpafl import stpa
 from stpafl.aggregation import AggregationRule
 from stpafl.stpa import MomentumState, StpaConfig
-from stpafl.vectors import ClientUpdate
+from stpafl.vectors import ClientUpdate, cosine_similarity
 
 
 def mk(w_t, deltas):
@@ -46,6 +48,58 @@ def minmax_bipartition_oracle(S):
             best_val = val
             best = (c1, c2)
     return frozenset([frozenset(best[0]), frozenset(best[1])])
+
+
+def pairwise_affinity_reference(w_t, updates):
+    """One scalar cosine_similarity call per pair, diagonal 1."""
+    deltas = [w_t - u.model for u in updates]
+    n = len(deltas)
+    S = np.ones((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            S[i, j] = S[j, i] = cosine_similarity(deltas[i], deltas[j])
+    return S
+
+
+def bipartition_reference(S):
+    """Literal O(n^3) complete linkage: rescan every live cluster pair for the
+    smallest (distance, min slot, min slot) key and shrink D after each merge."""
+    n = S.shape[0]
+    clusters = [(i,) for i in range(n)]
+    D = 1.0 - S.astype(np.float64)
+    np.fill_diagonal(D, np.inf)
+    while len(clusters) > 2:
+        m = len(clusters)
+        best_key = None
+        best_pair = None
+        for a in range(m):
+            for b in range(a + 1, m):
+                key = (D[a, b], clusters[a][0], clusters[b][0])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_pair = (a, b)
+        a, b = best_pair
+        merged = tuple(sorted(clusters[a] + clusters[b]))
+        new_row = np.maximum(D[a], D[b])
+        keep = [i for i in range(m) if i != b]
+        D = D[np.ix_(keep, keep)]
+        row = np.delete(new_row, b)
+        D[a, :] = row
+        D[:, a] = row
+        D[a, a] = np.inf
+        clusters = [merged if i == a else clusters[i] for i in keep]
+    return clusters[0], clusters[1]
+
+
+def random_affinity(rng, n, levels=None):
+    """Symmetric S with unit diagonal; levels > 0 quantises it to force ties."""
+    A = rng.uniform(-1.0, 1.0, size=(n, n))
+    if levels:
+        A = np.round(A * levels) / levels
+    S = np.triu(A, 1)
+    S = S + S.T
+    np.fill_diagonal(S, 1.0)
+    return S
 
 
 # ---------------------------------------------------------------- config
@@ -108,6 +162,21 @@ def test_affinity_scale_invariance():
     assert np.allclose(S1, S2)
 
 
+@pytest.mark.parametrize("n, zero_rows", [(2, ()), (2, (1,)), (7, (0, 4)), (40, ()), (100, (3,))])
+def test_affinity_matches_pairwise_cosine(n, zero_rows):
+    rng = np.random.default_rng(n)
+    w_t = rng.standard_normal(210)
+    deltas = rng.standard_normal((n, 210)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+    deltas[list(zero_rows)] *= 1e-20  # nonzero, but below ZERO_NORM_EPS
+    updates = mk(w_t, list(deltas))
+    S = stpa.build_affinity(w_t, updates)
+    want = pairwise_affinity_reference(w_t, updates)
+    assert np.max(np.abs(S - want)) <= 4e-15
+    assert np.array_equal(S, S.T)
+    for i in zero_rows:
+        assert np.count_nonzero(S[i]) == 1 and S[i, i] == 1.0
+
+
 # ---------------------------------------------------------------- bipartition
 
 def test_bipartition_two_slots():
@@ -159,13 +228,56 @@ def test_bipartition_matches_exhaustive_oracle():
         assert got == minmax_bipartition_oracle(S)
 
 
+@pytest.mark.parametrize("levels", [None, 2, 4])
+def test_bipartition_matches_reference(levels):
+    rng = np.random.default_rng(17 + (levels or 0))
+    for n in [2, 3, 4, 5, 8, 13, 21, 34, 100]:
+        S = random_affinity(rng, n, levels)
+        assert stpa.bipartition(S) == bipartition_reference(S)
+
+
+def test_bipartition_matches_reference_on_real_affinities():
+    rng = np.random.default_rng(23)
+    w_t = rng.standard_normal(30)
+    for n in (10, 60):
+        base = rng.standard_normal(30)
+        deltas = base + 0.5 * rng.standard_normal((n, 30))
+        deltas[: n // 3] = -base + 0.1 * rng.standard_normal((n // 3, 30))
+        S = stpa.build_affinity(w_t, mk(w_t, list(deltas)))
+        assert stpa.bipartition(S) == bipartition_reference(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=24).flatmap(
+        lambda n: st.lists(
+            st.sampled_from([-1.0, -0.5, 0.0, 0.02, 0.5, 1.0]) | st.floats(-1.0, 1.0),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        ).map(lambda upper: (n, upper))
+    )
+)
+def test_bipartition_is_ordered_partition(case):
+    n, upper = case
+    S = np.zeros((n, n))
+    S[np.triu_indices(n, 1)] = upper
+    S = S + S.T
+    np.fill_diagonal(S, 1.0)
+    c1, c2 = stpa.bipartition(S)
+    assert c1 and c2
+    assert list(c1) == sorted(c1) and list(c2) == sorted(c2)
+    assert sorted(c1 + c2) == list(range(n))
+    assert c1[0] < c2[0]
+
+
 # ---------------------------------------------------------------- split decision
 
 def test_split_keeps_larger_cluster():
     S, labels = planted_affinity(np.random.default_rng(1), (13, 7), 0.9, -1.0)
     c1 = tuple(np.flatnonzero(labels == 0))
     c2 = tuple(np.flatnonzero(labels == 1))
-    benign = stpa.split_decision(S, c1, c2, 0.02)
+    cross = stpa.cross_similarity(S, c1, c2)
+    benign = stpa.split_decision(cross, c1, c2, 0.02)
     assert benign == tuple(sorted(c1))
 
 
@@ -173,21 +285,24 @@ def test_split_union_when_cross_high():
     S, labels = planted_affinity(np.random.default_rng(2), (3, 2), 0.9, 0.5)
     c1 = tuple(np.flatnonzero(labels == 0))
     c2 = tuple(np.flatnonzero(labels == 1))
-    assert stpa.split_decision(S, c1, c2, 0.02) == (0, 1, 2, 3, 4)
+    cross = stpa.cross_similarity(S, c1, c2)
+    assert stpa.split_decision(cross, c1, c2, 0.02) == (0, 1, 2, 3, 4)
 
 
 def test_split_boundary_is_strict():
     S, labels = planted_affinity(np.random.default_rng(3), (3, 2), 0.9, 0.02)
     c1 = tuple(np.flatnonzero(labels == 0))
     c2 = tuple(np.flatnonzero(labels == 1))
-    assert stpa.split_decision(S, c1, c2, 0.02) == (0, 1, 2, 3, 4)
+    cross = stpa.cross_similarity(S, c1, c2)
+    assert stpa.split_decision(cross, c1, c2, 0.02) == (0, 1, 2, 3, 4)
 
 
 def test_split_equal_sizes_keep_union():
     S, labels = planted_affinity(np.random.default_rng(4), (3, 3), 0.9, -0.8)
     c1 = tuple(np.flatnonzero(labels == 0))
     c2 = tuple(np.flatnonzero(labels == 1))
-    assert stpa.split_decision(S, c1, c2, 0.02) == (0, 1, 2, 3, 4, 5)
+    cross = stpa.cross_similarity(S, c1, c2)
+    assert stpa.split_decision(cross, c1, c2, 0.02) == (0, 1, 2, 3, 4, 5)
 
 
 # ---------------------------------------------------------------- momentum

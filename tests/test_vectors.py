@@ -5,19 +5,9 @@ from stpafl import vectors
 from stpafl.vectors import ClientUpdate
 
 
-def test_dot_basic():
-    assert vectors.dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-    assert vectors.dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_dot_zero_annihilation():
-    v = np.array([3.7, -1.2, 0.5])
-    assert vectors.dot(v, np.zeros(3)) == 0.0
-
-
-def test_dot_dimension_mismatch():
+def test_cosine_dimension_mismatch():
     with pytest.raises(ValueError):
-        vectors.dot(np.zeros(2), np.zeros(3))
+        vectors.cosine_similarity(np.ones(2), np.ones(3))
 
 
 def test_cosine_parallel():
@@ -45,30 +35,6 @@ def test_cosine_clipped_to_unit_interval():
         a = rng.standard_normal(5)
         b = rng.standard_normal(5)
         assert -1.0 <= vectors.cosine_similarity(a, b) <= 1.0
-
-
-def test_euclidean_distance():
-    assert vectors.euclidean_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
-    v = np.array([1.5, -2.0])
-    assert vectors.euclidean_distance(v, v) == 0.0
-    assert vectors.euclidean_distance(np.array([1.0]), np.array([-1.0])) == 2.0
-
-
-def test_axpy():
-    assert np.array_equal(
-        vectors.axpy(2.0, np.array([1.0, 1.0]), np.array([0.0, 1.0])), np.array([2.0, 3.0])
-    )
-    x = np.array([5.0, -1.0])
-    y = np.array([2.0, 2.0])
-    assert np.array_equal(vectors.axpy(0.0, x, y), y)
-    assert np.array_equal(vectors.axpy(1.0, x, np.zeros(2)), x)
-
-
-def test_scale_and_subtract():
-    assert np.array_equal(vectors.scale(3.0, np.array([1.0, -2.0])), np.array([3.0, -6.0]))
-    assert np.array_equal(
-        vectors.subtract(np.array([3.0, 1.0]), np.array([1.0, 1.0])), np.array([2.0, 0.0])
-    )
 
 
 def test_as_vector_rejects_nonfinite_and_matrix():
