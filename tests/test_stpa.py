@@ -236,17 +236,6 @@ def test_bipartition_matches_reference(levels):
         assert stpa.bipartition(S) == bipartition_reference(S)
 
 
-def test_bipartition_matches_reference_on_real_affinities():
-    rng = np.random.default_rng(23)
-    w_t = rng.standard_normal(30)
-    for n in (10, 60):
-        base = rng.standard_normal(30)
-        deltas = base + 0.5 * rng.standard_normal((n, 30))
-        deltas[: n // 3] = -base + 0.1 * rng.standard_normal((n // 3, 30))
-        S = stpa.build_affinity(w_t, mk(w_t, list(deltas)))
-        assert stpa.bipartition(S) == bipartition_reference(S)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=2, max_value=24).flatmap(
