@@ -63,6 +63,11 @@ class StepOutcome:
     benign_count: int
 
 
+# Up to this many slots, the n(n-1)/2 scalar cosine_similarity calls cost
+# no more than stacking the deltas and forming their Gram matrix.
+PAIRWISE_MAX_SLOTS = 4
+
+
 def build_affinity(global_model: np.ndarray, updates: list[ClientUpdate]) -> np.ndarray:
     """Pairwise cosine similarities of pseudo-gradients w_t - w^i, diagonal 1.
 
@@ -72,6 +77,13 @@ def build_affinity(global_model: np.ndarray, updates: list[ClientUpdate]) -> np.
     n = len(updates)
     if n < 2:
         raise ValueError("need at least 2 updates to build an affinity matrix")
+    if n <= PAIRWISE_MAX_SLOTS:
+        deltas = [global_model - u.model for u in updates]
+        S = np.ones((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                S[i, j] = S[j, i] = cosine_similarity(deltas[i], deltas[j])
+        return S
     X = global_model - np.stack([u.model for u in updates])
     norms = np.linalg.norm(X, axis=1)
     live = norms >= ZERO_NORM_EPS

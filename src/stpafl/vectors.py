@@ -8,6 +8,7 @@ such rounds as discardable instead of propagating NaN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,11 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     Returns 0.0 if either vector has norm below ZERO_NORM_EPS.
     """
     _check_dims(a, b)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na = math.sqrt(a @ a)
+    nb = math.sqrt(b @ b)
     if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
         return 0.0
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+    return min(max(float(a @ b) / (na * nb), -1.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,9 @@ def test_affinity_scale_invariance():
     assert np.allclose(S1, S2)
 
 
-@pytest.mark.parametrize("n, zero_rows", [(2, ()), (2, (1,)), (7, (0, 4)), (40, ()), (100, (3,))])
+@pytest.mark.parametrize(
+    "n, zero_rows", [(2, ()), (2, (1,)), (7, (0, 4)), (40, ()), (100, (3,)), (4, (2,)), (5, (1,))]
+)
 def test_affinity_matches_pairwise_cosine(n, zero_rows):
     rng = np.random.default_rng(n)
     w_t = rng.standard_normal(210)
