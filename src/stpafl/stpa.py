@@ -63,8 +63,8 @@ class StepOutcome:
     benign_count: int
 
 
-# Up to this many slots, the n(n-1)/2 scalar cosine_similarity calls cost
-# no more than stacking the deltas and forming their Gram matrix.
+# Up to this many slots, build_affinity makes one cosine_similarity call per
+# pair; at this size that costs about as much as the stacked Gram path.
 PAIRWISE_MAX_SLOTS = 4
 
 

@@ -179,6 +179,33 @@ def test_affinity_matches_pairwise_cosine(n, zero_rows):
         assert np.count_nonzero(S[i]) == 1 and S[i, i] == 1.0
 
 
+@pytest.mark.parametrize(
+    "n, copies, d, attack",
+    [(5, 2, 33, "ipm"), (20, 4, 33, "alie"), (20, 6, 6210, "ipm"), (100, 20, 210, "alie"), (100, 30, 210, "ipm")],
+)
+def test_duplicate_rows_partition_matches_pairwise(n, copies, d, attack):
+    # ALIE and IPM attackers submit identical models, so S has exact ties
+    # among their rows; the Gram path may round those copies differently.
+    rng = np.random.default_rng(n + copies)
+    w_t = rng.standard_normal(d)
+    deltas = rng.standard_normal(d) + rng.standard_normal((n, d))
+    if attack == "ipm":
+        malicious = -0.5 * deltas.mean(axis=0)
+    else:
+        malicious = deltas.mean(axis=0) - deltas.std(axis=0)
+    slots = rng.choice(n, copies, replace=False)
+    deltas[slots] = malicious
+    benign = np.setdiff1d(np.arange(n), slots)
+    deltas[benign[1]] = deltas[benign[0]]  # and one duplicated benign pair
+    updates = mk(w_t, list(deltas))
+    S = stpa.build_affinity(w_t, updates)
+    want = pairwise_affinity_reference(w_t, updates)
+    c1, c2 = stpa.bipartition(S)
+    assert (c1, c2) == bipartition_reference(want)
+    assert set(slots.tolist()) <= set(c1) or set(slots.tolist()) <= set(c2)
+    assert stpa.partition_round(S, 0.02).benign == stpa.partition_round(want, 0.02).benign
+
+
 # ---------------------------------------------------------------- bipartition
 
 def test_bipartition_two_slots():
