@@ -34,6 +34,15 @@ CONFIGS = {
         "rule": {"kind": "stpa"},
         "data": SMALL_BLOBS,
     },
+    # 400 rows over 90 clients: sizes 4 and 5, each client drawing minibatches.
+    "stpa_device_ipm_minibatch": {
+        "scenario": "cross_device", "n_clients": 90, "n_malicious": 30,
+        "clients_per_round": 40, "rounds": 20, "seed": 9,
+        "attack": {"kind": "ipm", "epsilon": 1.0},
+        "rule": {"kind": "stpa"},
+        "train": {"batch_size": 3},
+        "data": SMALL_BLOBS,
+    },
     "stpa_device_label_flip_trimmed": {
         "scenario": "cross_device", "n_clients": 60, "n_malicious": 20,
         "clients_per_round": 30, "rounds": 20, "seed": 5,
@@ -83,6 +92,10 @@ GOLDEN = {
     "stpa_device_ipm": {
         "rounds.jsonl": "121ade98de99f96db66d44f0b9e1776054ba481da15b2819cc4b4736e4bcea41",
         "summary.csv": "be8e604742320f31fbde896d81993c71cd9f61401aa9cbf27cf6f29d8b3c3e16",
+    },
+    "stpa_device_ipm_minibatch": {
+        "rounds.jsonl": "464f5da077b39024ad6ebdcdbd2b1c6f8dab680bb03d5af01057b2c66767fff4",
+        "summary.csv": "f244b3017a1cf02691a5f11a466911b8939484d114b2e4f497b9f5c0979a3888",
     },
     "stpa_device_label_flip_trimmed": {
         "rounds.jsonl": "5e8a72e218ea0181ddd1b561942234104d96570bd07a06457c364996828b67ce",
