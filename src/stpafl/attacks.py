@@ -18,6 +18,7 @@ ATTACK_KINDS = ("none", "byzantine_gaussian", "noisy", "label_flip", "ipm", "ali
 
 DATA_ATTACKS = ("noisy", "label_flip")
 OMNISCIENT_ATTACKS = ("ipm", "alie")
+MODEL_ATTACKS = ("byzantine_gaussian",) + OMNISCIENT_ATTACKS
 
 
 @dataclass(frozen=True)
@@ -54,29 +55,49 @@ def gaussian_byzantine_update(w_t: np.ndarray, sigma: float, seed: int) -> np.nd
     return rng.normal(0.0, sigma, size=w_t.shape) if sigma > 0 else np.zeros_like(w_t)
 
 
-def ipm_updates(
-    benign_grads: list[np.ndarray], epsilon: float, count: int
-) -> list[np.ndarray]:
-    """count identical copies of -epsilon * mean(benign gradients)."""
-    if not benign_grads:
+def ipm_updates(benign_grads, epsilon: float, count: int) -> np.ndarray:
+    """count identical rows of -epsilon * mean(benign gradients).
+
+    benign_grads is a (n, d) array or a list of n vectors.
+    """
+    if len(benign_grads) == 0:
         raise ValueError("ipm needs a nonempty benign gradient set")
     if count < 1:
         raise ValueError("count must be >= 1")
-    g = -epsilon * np.stack(benign_grads).mean(axis=0)
-    return [g.copy() for _ in range(count)]
+    g = -epsilon * np.asarray(benign_grads).mean(axis=0)
+    return np.tile(g, (count, 1))
 
 
-def alie_updates(
-    benign_grads: list[np.ndarray], epsilon: float, count: int
-) -> list[np.ndarray]:
-    """count copies of mean - epsilon * std (population, per coordinate)."""
+def alie_updates(benign_grads, epsilon: float, count: int) -> np.ndarray:
+    """count rows of mean - epsilon * std (population, per coordinate); input as ipm_updates."""
     if len(benign_grads) < 2:
         raise ValueError("alie needs at least 2 benign gradients")
     if count < 1:
         raise ValueError("count must be >= 1")
-    G = np.stack(benign_grads)
+    G = np.asarray(benign_grads)
     g = G.mean(axis=0) - epsilon * G.std(axis=0)
-    return [g.copy() for _ in range(count)]
+    return np.tile(g, (count, 1))
+
+
+def submissions(spec: AttackSpec, w_t, trained: np.ndarray, mal_ids: list, seed_of) -> np.ndarray:
+    """The round's submitted models, one row per selected client in id order.
+
+    trained holds the local models of the clients that trained, ascending by
+    id. Under a model-level attack those are the honest clients and the
+    malicious mal_ids (the lowest ids) submit ahead of them; otherwise every
+    selected client trained. seed_of(cid) seeds a Gaussian replacement.
+    """
+    if spec.kind not in MODEL_ATTACKS or not mal_ids:
+        return trained
+    if spec.kind == "byzantine_gaussian":
+        bad = np.array(
+            [gaussian_byzantine_update(w_t, spec.sigma, seed_of(cid)) for cid in mal_ids]
+        )
+    elif spec.kind == "ipm":
+        bad = w_t - ipm_updates(w_t - trained, spec.epsilon, len(mal_ids))
+    else:
+        bad = w_t - alie_updates(w_t - trained, spec.epsilon, len(mal_ids))
+    return np.concatenate([bad, trained])
 
 
 def apply_data_attack(

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -184,9 +185,9 @@ def cmd_run(args) -> int:
         cf.write(",".join(CSV_COLUMNS) + "\n")
         cf.flush()
         for log in iter_experiment(cfg):
-            jf.write(json.dumps(log.to_dict()) + "\n")
-            jf.flush()
             row = log.to_dict()
+            jf.write(json.dumps(row) + "\n")
+            jf.flush()
             cf.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
             cf.flush()
     return 0
@@ -210,8 +211,6 @@ def cmd_sweep(args) -> int:
     rows = []
     for fraction in fractions:
         n_malicious = int(round(fraction * cfg.n_clients))
-        from dataclasses import replace
-
         sub = replace(cfg, n_malicious=n_malicious)
         logs = run_experiment(sub)
         mean, std = final_stats(logs)

@@ -64,6 +64,45 @@ class LabeledDataset:
 
 
 @dataclass
+class ClientStack:
+    """Datasets of equal size stacked on a leading client axis."""
+
+    ids: np.ndarray  # (K,) client ids, ascending
+    features: np.ndarray  # (K, N, F) float64
+    labels: np.ndarray  # (K, N) int64
+
+    def __len__(self) -> int:
+        """Total rows over all K clients."""
+        return self.labels.size
+
+    def take(self, rows) -> "ClientStack":
+        return ClientStack(self.ids[rows], self.features[rows], self.labels[rows])
+
+
+@dataclass
+class ClientPool:
+    """Every client's dataset, one ClientStack per distinct size."""
+
+    stacks: list  # ClientStack, by ascending size
+    counts: list  # samples per client, indexed by client id
+
+    @classmethod
+    def from_datasets(cls, datasets: list) -> "ClientPool":
+        counts = [len(ds) for ds in datasets]
+        stacks = []
+        for n in sorted(set(counts)):
+            ids = [cid for cid, c in enumerate(counts) if c == n]
+            stacks.append(
+                ClientStack(
+                    np.array(ids, dtype=np.int64),
+                    np.stack([datasets[cid].features for cid in ids]),
+                    np.stack([datasets[cid].labels for cid in ids]),
+                )
+            )
+        return cls(stacks, counts)
+
+
+@dataclass
 class PartitionPlan:
     assignments: list  # list of np.ndarray of row indices, one per client
     scheme: str  # "iid" | "noniid_shards"

@@ -166,8 +166,8 @@ def build_data(cfg: ScenarioConfig) -> tuple[data.LabeledDataset, data.LabeledDa
     raise ValueError(f"unknown data kind: {dc.kind}")
 
 
-def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> list:
-    """Partition the training data and corrupt the malicious clients' shares."""
+def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> data.ClientPool:
+    """Partition the training data, corrupt the malicious clients' shares, stack."""
     if cfg.partition.scheme == "iid":
         plan = data.partition_iid(train, cfg.n_clients, derive_seed(cfg.seed, 2))
     else:
@@ -184,50 +184,52 @@ def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> li
             datasets[cid] = attacks.apply_data_attack(
                 cfg.attack, datasets[cid], derive_seed(cfg.seed, 3, cid)
             )
-    return datasets
+    return data.ClientPool.from_datasets(datasets)
+
+
+def train_clients(model, w_t, pool: data.ClientPool, ids: list, cfg: ScenarioConfig, r: int):
+    """Local models of the clients ids (ascending), one row each, in id order.
+
+    Each size group trains in blocks of models.block_clients clients.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.empty((len(ids), model.dim))
+    for stack in pool.stacks:
+        pos = np.flatnonzero(np.isin(ids, stack.ids))
+        rows = np.searchsorted(stack.ids, ids[pos])
+        step = models.block_clients(model, stack.labels.shape[1])
+        for a in range(0, len(rows), step):
+            block = stack.take(rows[a : a + step])
+            seeds = None
+            if cfg.train.batch_size is not None:
+                seeds = [derive_seed(cfg.seed, 4, r, int(cid)) for cid in block.ids]
+            out[pos[a : a + step]] = models.local_train(model, w_t, block, cfg.train, seed=seeds)
+    return out
 
 
 def run_round(
     state: ExperimentState,
     cfg: ScenarioConfig,
     model,
-    datasets: list,
+    pool: data.ClientPool,
     test_set: data.LabeledDataset,
 ) -> tuple[ExperimentState, RoundLog]:
     w_t = state.global_model
     r = state.round_index
     selected = select_clients(r, cfg, state.select_rng)
-    malicious = {cid for cid in selected if cid < cfg.n_malicious}
-    model_level = cfg.attack.kind in ("byzantine_gaussian",) + attacks.OMNISCIENT_ATTACKS
-    trainers = [cid for cid in selected if not (model_level and cid in malicious)]
-
-    local = {}
-    for cid in trainers:
-        local[cid] = models.local_train(
-            model, w_t, datasets[cid], cfg.train, seed=derive_seed(cfg.seed, 4, r, cid)
-        )
-
-    submissions = dict(local)
-    if cfg.attack.kind == "byzantine_gaussian":
-        for cid in sorted(malicious):
-            submissions[cid] = attacks.gaussian_byzantine_update(
-                w_t, cfg.attack.sigma, derive_seed(cfg.seed, 5, r, cid)
-            )
-    elif cfg.attack.kind in attacks.OMNISCIENT_ATTACKS:
-        benign_grads = [w_t - local[cid] for cid in trainers]
-        if not benign_grads:
-            raise RuntimeError(f"round {r}: no honest client selected under {cfg.attack.kind}")
-        mal_ids = sorted(malicious)
-        if mal_ids:
-            if cfg.attack.kind == "ipm":
-                grads = attacks.ipm_updates(benign_grads, cfg.attack.epsilon, len(mal_ids))
-            else:
-                grads = attacks.alie_updates(benign_grads, cfg.attack.epsilon, len(mal_ids))
-            for cid, g in zip(mal_ids, grads):
-                submissions[cid] = w_t - g
-
+    # selected is ascending, so the malicious clients lead it
+    mal_ids = [cid for cid in selected if cid < cfg.n_malicious]
+    model_level = cfg.attack.kind in attacks.MODEL_ATTACKS
+    trainers = selected[len(mal_ids) :] if model_level else selected
+    submitted = attacks.submissions(
+        cfg.attack,
+        w_t,
+        train_clients(model, w_t, pool, trainers, cfg, r),
+        mal_ids,
+        lambda cid: derive_seed(cfg.seed, 5, r, cid),
+    )
     updates = [
-        ClientUpdate(r, slot, submissions[cid], len(datasets[cid]))
+        ClientUpdate(r, slot, submitted[slot], pool.counts[cid])
         for slot, cid in enumerate(selected)
     ]
 
@@ -248,7 +250,7 @@ def run_round(
     log = RoundLog(
         round=r,
         selected=selected,
-        malicious_selected=len(malicious),
+        malicious_selected=len(mal_ids),
         benign_kept=benign_kept,
         alpha=alpha,
         eta=eta,
@@ -263,7 +265,7 @@ def run_round(
 def iter_experiment(cfg: ScenarioConfig):
     """Yield one RoundLog per round; see run_experiment for the list form."""
     train, test = build_data(cfg)
-    datasets = setup_client_datasets(cfg, train)
+    pool = setup_client_datasets(cfg, train)
     model = models.make_model(
         cfg.model.kind, train.n_features, train.n_classes, cfg.model.hidden
     )
@@ -275,7 +277,7 @@ def iter_experiment(cfg: ScenarioConfig):
         select_rng=np.random.default_rng(derive_seed(cfg.seed, 1)),
     )
     for _ in range(cfg.rounds):
-        state, log = run_round(state, cfg, model, datasets, test)
+        state, log = run_round(state, cfg, model, pool, test)
         yield log
 
 

@@ -124,3 +124,19 @@ def test_apply_data_attack_noisy_stays_clipped():
 def test_apply_data_attack_rejects_model_attacks():
     with pytest.raises(ValueError):
         attacks.apply_data_attack(AttackSpec("ipm"), small_dataset())
+
+
+def test_submissions_put_malicious_rows_first():
+    w = np.array([1.0, 2.0])
+    trained = np.array([[0.5, 1.0], [1.5, 3.0], [1.0, 0.0]])
+    seed_of = lambda cid: 40 + cid
+    gauss = attacks.submissions(AttackSpec("byzantine_gaussian"), w, trained, [0, 3], seed_of)
+    assert np.array_equal(gauss[0], attacks.gaussian_byzantine_update(w, 20.0, 40))
+    assert np.array_equal(gauss[1], attacks.gaussian_byzantine_update(w, 20.0, 43))
+    assert np.array_equal(gauss[2:], trained)
+    ipm = attacks.submissions(AttackSpec("ipm", epsilon=2.0), w, trained, [1], seed_of)
+    assert np.array_equal(ipm[0], w - attacks.ipm_updates(list(w - trained), 2.0, 1)[0])
+    assert np.array_equal(ipm[1:], trained)
+    alie = attacks.submissions(AttackSpec("alie"), w, trained, [], seed_of)
+    assert alie is trained
+    assert attacks.submissions(AttackSpec("label_flip"), w, trained, [0], seed_of) is trained

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from stpafl import models
-from stpafl.data import LabeledDataset
+from stpafl import models, simulation
+from stpafl.attacks import AttackSpec, apply_data_attack
+from stpafl.data import ClientStack, LabeledDataset, partition_iid
 from stpafl.models import LinearSoftmaxModel, MlpModel, TrainConfig
+from stpafl.simulation import BlobsDataConfig, ModelConfig, ScenarioConfig, derive_seed
 
 
 def fd_gradient(model, params, dataset, h=1e-5):
@@ -148,3 +150,103 @@ def test_evaluate_error_tie_break_to_class_zero():
     # all-zero params tie every class; argmax picks class 0
     err = models.evaluate_error(model, np.zeros(model.dim), ds)
     assert err == pytest.approx(100.0 * 2 / 3)
+
+
+def per_client_train(model, params, dataset, cfg, seed=0):
+    """Reference: the one-client-at-a-time training loop the stacked path replaced."""
+    rng = np.random.default_rng(seed)
+    p = params.copy()
+    for _ in range(cfg.local_steps):
+        if cfg.batch_size is None:
+            X, y = dataset.features, dataset.labels
+        else:
+            idx = rng.choice(len(dataset), size=min(cfg.batch_size, len(dataset)), replace=False)
+            X, y = dataset.features[idx], dataset.labels[idx]
+        p -= cfg.local_lr * model.gradient(p, X, y)
+    return p
+
+
+def client_rows(stack, k, n_classes):
+    return LabeledDataset(stack.features[k], stack.labels[k], n_classes)
+
+
+STACK_CASES = [
+    # (model kind, clients, rows, batch_size)
+    ("linear", 1, 12, None),
+    ("linear", 7, 12, None),
+    ("linear", 7, 12, 5),
+    ("linear", 3, 4, 9),  # batch larger than a client: every row, shuffled
+    ("mlp", 1, 10, None),
+    ("mlp", 5, 10, None),
+    ("mlp", 5, 10, 3),
+]
+
+
+@pytest.mark.parametrize("kind,K,N,batch", STACK_CASES)
+def test_stacked_local_train_equals_per_client_loop(kind, K, N, batch):
+    rng = np.random.default_rng(K * 100 + N)
+    model = models.make_model(kind, 6, 4, hidden=9)
+    stack = ClientStack(
+        np.arange(K), rng.standard_normal((K, N, 6)), rng.integers(0, 4, size=(K, N))
+    )
+    cfg = TrainConfig(local_steps=3, local_lr=0.1, batch_size=batch)
+    p0 = model.init_params(rng)
+    seeds = [1000 + k for k in range(K)]
+    out = models.local_train(model, p0, stack, cfg, seed=seeds)
+    assert out.shape == (K, model.dim)
+    for k in range(K):
+        ref = per_client_train(model, p0, client_rows(stack, k, 4), cfg, seeds[k])
+        assert np.array_equal(out[k], ref)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_train_clients_blocks_and_two_sizes_equal_per_client_loop(kind, batch, monkeypatch):
+    # 130 rows over 12 clients: sizes 10 and 11; a small budget splits each
+    # size group into several blocks with a ragged last one.
+    cfg = ScenarioConfig(
+        scenario="cross_device", n_clients=12, n_malicious=0, clients_per_round=8,
+        rounds=1, seed=2, model=ModelConfig(kind, hidden=7),
+        train=TrainConfig(local_steps=2, local_lr=0.05, batch_size=batch),
+        data=BlobsDataConfig(n_classes=5, dim=4, samples_per_class=26, test_samples_per_class=2),
+    )
+    train, _ = simulation.build_data(cfg)
+    pool = simulation.setup_client_datasets(cfg, train)
+    assert [s.labels.shape[1] for s in pool.stacks] == [10, 11]
+    model = models.make_model(kind, 4, 5, hidden=7)
+    monkeypatch.setattr(models, "BLOCK_ELEMENTS", 2 * 11 * model.width)
+    assert models.block_clients(model, 10) == 2 and models.block_clients(model, 11) == 2
+    w = model.init_params(np.random.default_rng(0))
+    ids = [0, 2, 3, 5, 6, 7, 8, 11]
+    out = simulation.train_clients(model, w, pool, ids, cfg, r=4)
+    rows = {int(c): (s, k) for s in pool.stacks for k, c in enumerate(s.ids)}
+    for i, cid in enumerate(ids):
+        stack, k = rows[cid]
+        ref = per_client_train(
+            model, w, client_rows(stack, k, 5), cfg.train, derive_seed(cfg.seed, 4, 4, cid)
+        )
+        assert np.array_equal(out[i], ref)
+
+
+@pytest.mark.parametrize("attack", ["noisy", "label_flip"])
+def test_pool_rows_equal_corrupted_partition(attack):
+    cfg = ScenarioConfig(
+        scenario="cross_silo", n_clients=7, n_malicious=3, clients_per_round=7,
+        rounds=0, seed=5, attack=AttackSpec(attack),
+        data=BlobsDataConfig(n_classes=3, dim=4, samples_per_class=15, test_samples_per_class=2),
+    )
+    train, _ = simulation.build_data(cfg)
+    pool = simulation.setup_client_datasets(cfg, train)
+    plan = partition_iid(train, cfg.n_clients, derive_seed(cfg.seed, 2))
+    assert pool.counts == [len(idx) for idx in plan.assignments] == [7, 7, 7, 6, 6, 6, 6]
+    seen = []
+    for stack in pool.stacks:
+        assert np.all(np.diff(stack.ids) > 0)
+        for k, cid in enumerate(stack.ids):
+            expected = train.subset(plan.assignments[cid])
+            if cid < cfg.n_malicious:
+                expected = apply_data_attack(cfg.attack, expected, derive_seed(cfg.seed, 3, cid))
+            assert np.array_equal(stack.features[k], expected.features)
+            assert np.array_equal(stack.labels[k], expected.labels)
+            seen.append(int(cid))
+    assert sorted(seen) == list(range(cfg.n_clients))

@@ -4,6 +4,7 @@ import pytest
 from stpafl import simulation
 from stpafl.aggregation import AggregationRule
 from stpafl.attacks import AttackSpec
+from stpafl.data import LabeledDataset
 from stpafl.simulation import (
     BlobsDataConfig,
     PartitionConfig,
@@ -123,11 +124,12 @@ def test_single_client_fed_avg_identity():
         data=SMALL_DATA,
     )
     train, test = simulation.build_data(cfg)
-    datasets = simulation.setup_client_datasets(cfg, train)
+    pool = simulation.setup_client_datasets(cfg, train)
     model = M.make_model("linear", train.n_features, train.n_classes)
     w0 = model.init_params(np.random.default_rng(derive_seed(3, 0)))
+    client0 = LabeledDataset(pool.stacks[0].features[0], pool.stacks[0].labels[0], train.n_classes)
     expected = M.local_train(
-        model, w0, datasets[0], cfg.train, seed=derive_seed(3, 4, 0, 0)
+        model, w0, client0, cfg.train, seed=derive_seed(3, 4, 0, 0)
     )
     state = simulation.ExperimentState(
         global_model=w0,
@@ -135,18 +137,19 @@ def test_single_client_fed_avg_identity():
         round_index=0,
         select_rng=np.random.default_rng(derive_seed(3, 1)),
     )
-    state, log = simulation.run_round(state, cfg, model, datasets, test)
+    state, log = simulation.run_round(state, cfg, model, pool, test)
     assert np.array_equal(state.global_model, expected)
 
 
 def test_label_flip_applied_at_setup():
     cfg = small_cfg(attack=AttackSpec("label_flip", target=0))
     train, _ = simulation.build_data(cfg)
-    datasets = simulation.setup_client_datasets(cfg, train)
+    pool = simulation.setup_client_datasets(cfg, train)
+    labels = {int(cid): row for stack in pool.stacks for cid, row in zip(stack.ids, stack.labels)}
     for cid in range(cfg.n_malicious):
-        assert np.all(datasets[cid].labels == 0)
+        assert np.all(labels[cid] == 0)
     for cid in range(cfg.n_malicious, cfg.n_clients):
-        assert len(set(datasets[cid].labels)) > 1
+        assert len(set(labels[cid])) > 1
 
 
 def test_noniid_shards_partition_used():
@@ -154,9 +157,9 @@ def test_noniid_shards_partition_used():
         partition=PartitionConfig(scheme="noniid_shards", shards_per_client=1, shard_size=20)
     )
     train, _ = simulation.build_data(cfg)
-    datasets = simulation.setup_client_datasets(cfg, train)
-    assert all(len(ds) == 20 for ds in datasets)
-    assert all(len(set(ds.labels)) <= 1 for ds in datasets)
+    pool = simulation.setup_client_datasets(cfg, train)
+    assert all(n == 20 for n in pool.counts)
+    assert all(len(set(row)) <= 1 for stack in pool.stacks for row in stack.labels)
 
 
 def test_benign_kept_fields():
