@@ -87,18 +87,24 @@ class ClientPool:
     counts: list  # samples per client, indexed by client id
 
     @classmethod
-    def from_datasets(cls, datasets: list) -> "ClientPool":
-        counts = [len(ds) for ds in datasets]
+    def from_partition(cls, dataset: LabeledDataset, assignments: list, replaced: dict):
+        """Stack each client's rows of dataset.
+
+        replaced maps a client id to a same-sized dataset it holds instead.
+        """
+        counts = [len(idx) for idx in assignments]
         stacks = []
         for n in sorted(set(counts)):
             ids = [cid for cid, c in enumerate(counts) if c == n]
-            stacks.append(
-                ClientStack(
-                    np.array(ids, dtype=np.int64),
-                    np.stack([datasets[cid].features for cid in ids]),
-                    np.stack([datasets[cid].labels for cid in ids]),
-                )
+            rows = np.stack([assignments[cid] for cid in ids])
+            stack = ClientStack(
+                np.array(ids, dtype=np.int64), dataset.features[rows], dataset.labels[rows]
             )
+            for k, cid in enumerate(ids):
+                if cid in replaced:
+                    stack.features[k] = replaced[cid].features
+                    stack.labels[k] = replaced[cid].labels
+            stacks.append(stack)
         return cls(stacks, counts)
 
 

@@ -178,13 +178,13 @@ def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> da
             cfg.partition.shard_size,
             derive_seed(cfg.seed, 2),
         )
-    datasets = [train.subset(idx) for idx in plan.assignments]
+    corrupted = {}
     if cfg.attack.kind in attacks.DATA_ATTACKS:
         for cid in range(cfg.n_malicious):
-            datasets[cid] = attacks.apply_data_attack(
-                cfg.attack, datasets[cid], derive_seed(cfg.seed, 3, cid)
+            corrupted[cid] = attacks.apply_data_attack(
+                cfg.attack, train.subset(plan.assignments[cid]), derive_seed(cfg.seed, 3, cid)
             )
-    return data.ClientPool.from_datasets(datasets)
+    return data.ClientPool.from_partition(train, plan.assignments, corrupted)
 
 
 def train_clients(model, w_t, pool: data.ClientPool, ids: list, cfg: ScenarioConfig, r: int):
