@@ -65,7 +65,7 @@ def ipm_updates(benign_grads, epsilon: float, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     g = -epsilon * np.asarray(benign_grads).mean(axis=0)
-    return np.tile(g, (count, 1))
+    return np.repeat(g[None, :], count, axis=0)
 
 
 def alie_updates(benign_grads, epsilon: float, count: int) -> np.ndarray:
@@ -76,7 +76,7 @@ def alie_updates(benign_grads, epsilon: float, count: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     G = np.asarray(benign_grads)
     g = G.mean(axis=0) - epsilon * G.std(axis=0)
-    return np.tile(g, (count, 1))
+    return np.repeat(g[None, :], count, axis=0)
 
 
 def submissions(spec: AttackSpec, w_t, trained: np.ndarray, mal_ids: list, seed_of) -> np.ndarray:
