@@ -79,25 +79,26 @@ def alie_updates(benign_grads, epsilon: float, count: int) -> np.ndarray:
     return np.repeat(g[None, :], count, axis=0)
 
 
-def submissions(spec: AttackSpec, w_t, trained: np.ndarray, mal_ids: list, seed_of) -> np.ndarray:
-    """The round's submitted models, one row per selected client in id order.
+def submissions(spec: AttackSpec, w_t, rows: np.ndarray, mal_ids: list, seed_of) -> np.ndarray:
+    """Fill in the malicious clients' submitted models; returns rows.
 
-    trained holds the local models of the clients that trained, ascending by
-    id. Under a model-level attack those are the honest clients and the
-    malicious mal_ids (the lowest ids) submit ahead of them; otherwise every
-    selected client trained. seed_of(cid) seeds a Gaussian replacement.
+    rows holds one model per selected client in ascending id order. Under a
+    model-level attack the malicious mal_ids (the lowest ids) lead it, and the
+    rows after them hold the honest clients' local models, which IPM and ALIE
+    read; otherwise every selected client trained and rows is left as is.
+    seed_of(cid) seeds a Gaussian replacement.
     """
-    if spec.kind not in MODEL_ATTACKS or not mal_ids:
-        return trained
+    m = len(mal_ids)
+    if spec.kind not in MODEL_ATTACKS or m == 0:
+        return rows
     if spec.kind == "byzantine_gaussian":
-        bad = np.array(
-            [gaussian_byzantine_update(w_t, spec.sigma, seed_of(cid)) for cid in mal_ids]
-        )
+        for k, cid in enumerate(mal_ids):
+            rows[k] = gaussian_byzantine_update(w_t, spec.sigma, seed_of(cid))
     elif spec.kind == "ipm":
-        bad = w_t - ipm_updates(w_t - trained, spec.epsilon, len(mal_ids))
+        np.subtract(w_t, ipm_updates(w_t - rows[m:], spec.epsilon, m), out=rows[:m])
     else:
-        bad = w_t - alie_updates(w_t - trained, spec.epsilon, len(mal_ids))
-    return np.concatenate([bad, trained])
+        np.subtract(w_t, alie_updates(w_t - rows[m:], spec.epsilon, m), out=rows[:m])
+    return rows
 
 
 def apply_data_attack(

@@ -35,7 +35,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _T(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _affine(inputs: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:

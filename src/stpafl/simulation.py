@@ -187,13 +187,12 @@ def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> da
     return data.ClientPool.from_partition(train, plan.assignments, corrupted)
 
 
-def train_clients(model, w_t, pool: data.ClientPool, ids: list, cfg: ScenarioConfig, r: int):
-    """Local models of the clients ids (ascending), one row each, in id order.
+def train_clients(model, w_t, pool: data.ClientPool, ids, cfg: ScenarioConfig, r: int, out):
+    """Write the local models of the clients ids (ascending) into the rows of out.
 
     Each size group trains in blocks of models.block_clients clients.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    out = np.empty((len(ids), model.dim))
     for stack in pool.stacks:
         pos = np.flatnonzero(np.isin(ids, stack.ids))
         rows = np.searchsorted(stack.ids, ids[pos])
@@ -204,7 +203,6 @@ def train_clients(model, w_t, pool: data.ClientPool, ids: list, cfg: ScenarioCon
             if cfg.train.batch_size is not None:
                 seeds = [derive_seed(cfg.seed, 4, r, int(cid)) for cid in block.ids]
             out[pos[a : a + step]] = models.local_train(model, w_t, block, cfg.train, seed=seeds)
-    return out
 
 
 def run_round(
@@ -219,14 +217,11 @@ def run_round(
     selected = select_clients(r, cfg, state.select_rng)
     # selected is ascending, so the malicious clients lead it
     mal_ids = [cid for cid in selected if cid < cfg.n_malicious]
-    model_level = cfg.attack.kind in attacks.MODEL_ATTACKS
-    trainers = selected[len(mal_ids) :] if model_level else selected
+    skip = len(mal_ids) if cfg.attack.kind in attacks.MODEL_ATTACKS else 0
+    rows = np.empty((len(selected), model.dim))
+    train_clients(model, w_t, pool, selected[skip:], cfg, r, out=rows[skip:])
     submitted = attacks.submissions(
-        cfg.attack,
-        w_t,
-        train_clients(model, w_t, pool, trainers, cfg, r),
-        mal_ids,
-        lambda cid: derive_seed(cfg.seed, 5, r, cid),
+        cfg.attack, w_t, rows, mal_ids, lambda cid: derive_seed(cfg.seed, 5, r, cid)
     )
     updates = [
         ClientUpdate(r, slot, submitted[slot], pool.counts[cid])

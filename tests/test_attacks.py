@@ -126,17 +126,20 @@ def test_apply_data_attack_rejects_model_attacks():
         attacks.apply_data_attack(AttackSpec("ipm"), small_dataset())
 
 
-def test_submissions_put_malicious_rows_first():
+def test_submissions_fill_the_leading_malicious_rows():
     w = np.array([1.0, 2.0])
     trained = np.array([[0.5, 1.0], [1.5, 3.0], [1.0, 0.0]])
     seed_of = lambda cid: 40 + cid
-    gauss = attacks.submissions(AttackSpec("byzantine_gaussian"), w, trained, [0, 3], seed_of)
+    rows = np.vstack([np.full((2, 2), np.nan), trained])
+    gauss = attacks.submissions(AttackSpec("byzantine_gaussian"), w, rows, [0, 3], seed_of)
+    assert gauss is rows
     assert np.array_equal(gauss[0], attacks.gaussian_byzantine_update(w, 20.0, 40))
     assert np.array_equal(gauss[1], attacks.gaussian_byzantine_update(w, 20.0, 43))
     assert np.array_equal(gauss[2:], trained)
-    ipm = attacks.submissions(AttackSpec("ipm", epsilon=2.0), w, trained, [1], seed_of)
+    rows = np.vstack([np.full((1, 2), np.nan), trained])
+    ipm = attacks.submissions(AttackSpec("ipm", epsilon=2.0), w, rows, [1], seed_of)
     assert np.array_equal(ipm[0], w - attacks.ipm_updates(list(w - trained), 2.0, 1)[0])
     assert np.array_equal(ipm[1:], trained)
-    alie = attacks.submissions(AttackSpec("alie"), w, trained, [], seed_of)
-    assert alie is trained
-    assert attacks.submissions(AttackSpec("label_flip"), w, trained, [0], seed_of) is trained
+    rows = trained.copy()
+    assert np.array_equal(attacks.submissions(AttackSpec("alie"), w, rows, [], seed_of), trained)
+    assert np.array_equal(attacks.submissions(AttackSpec("label_flip"), w, rows, [0], seed_of), trained)

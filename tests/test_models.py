@@ -218,7 +218,8 @@ def test_train_clients_blocks_and_two_sizes_equal_per_client_loop(kind, batch, m
     assert models.block_clients(model, 10) == 2 and models.block_clients(model, 11) == 2
     w = model.init_params(np.random.default_rng(0))
     ids = [0, 2, 3, 5, 6, 7, 8, 11]
-    out = simulation.train_clients(model, w, pool, ids, cfg, r=4)
+    out = np.empty((len(ids), model.dim))
+    simulation.train_clients(model, w, pool, ids, cfg, 4, out=out)
     rows = {int(c): (s, k) for s in pool.stacks for k, c in enumerate(s.ids)}
     for i, cid in enumerate(ids):
         stack, k = rows[cid]
