@@ -63,8 +63,8 @@ def _softmax_residual(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 class LinearSoftmaxModel:
     """Multinomial logistic regression. Packing order: W row-major, then b.
 
-    Every method also takes a leading batch axis: params (K, dim) with
-    features (K, N, F) and labels (K, N) act as K independent models.
+    unpack, pack, logits and gradient also take a leading batch axis: params
+    (K, dim) with features (K, N, F) and labels (K, N) act as K models.
     """
 
     def __init__(self, n_features: int, n_classes: int):
