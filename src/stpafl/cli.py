@@ -13,29 +13,17 @@ Exit codes: 0 success, 1 runtime error, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import builtins
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data
-from .aggregation import AggregationRule
-from .attacks import AttackSpec
-from .models import TrainConfig
-from .simulation import (
-    BlobsDataConfig,
-    CsvDataConfig,
-    IdxDataConfig,
-    ModelConfig,
-    PartitionConfig,
-    ScenarioConfig,
-    iter_experiment,
-    run_experiment,
-)
-from .stpa import StpaConfig
+from .simulation import ScenarioConfig, iter_experiment, run_experiment
 
 CSV_COLUMNS = (
     "round",
@@ -52,96 +40,50 @@ class ConfigError(ValueError):
     pass
 
 
-def _strict(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
+def from_dict(cls, obj: dict, where: str):
+    """Build the config dataclass cls from a JSON object.
+
+    The dataclass's fields are the schema. A field annotated with a config
+    dataclass recurses; a union of them picks the member whose `kind` default
+    matches obj["kind"]. Leaf values must match the annotation: a float field
+    takes an int, and bool passes for neither. Range checks are the
+    dataclasses' own __post_init__.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = obj.keys() - types.keys()
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _parse_attack(obj: dict) -> AttackSpec:
-    _strict(obj, {"kind", "sigma", "low", "high", "clip_lo", "clip_hi", "target", "epsilon"}, "attack")
-    return AttackSpec(**obj)
-
-
-def _parse_rule(obj: dict) -> AggregationRule:
-    _strict(obj, {"kind", "gamma", "f", "m"}, "rule")
-    return AggregationRule(**obj)
-
-
-def _parse_stpa(obj: dict) -> StpaConfig:
-    _strict(obj, {"s_t", "beta", "eta0", "inner_rule"}, "stpa")
-    kwargs = dict(obj)
-    if "inner_rule" in kwargs:
-        kwargs["inner_rule"] = _parse_rule(kwargs["inner_rule"])
-    return StpaConfig(**kwargs)
-
-
-def _parse_train(obj: dict) -> TrainConfig:
-    _strict(obj, {"local_steps", "local_lr", "batch_size"}, "train")
-    return TrainConfig(**obj)
-
-
-def _parse_model(obj: dict) -> ModelConfig:
-    _strict(obj, {"kind", "hidden"}, "model")
-    return ModelConfig(**obj)
-
-
-def _parse_data(obj: dict):
-    kind = obj.get("kind")
-    if kind == "blobs":
-        _strict(
-            obj,
-            {"kind", "n_classes", "dim", "samples_per_class", "test_samples_per_class", "spread"},
-            "data",
-        )
-        return BlobsDataConfig(**obj)
-    if kind == "idx":
-        _strict(obj, {"kind", "train_images", "train_labels", "test_images", "test_labels"}, "data")
-        return IdxDataConfig(**obj)
-    if kind == "csv":
-        _strict(obj, {"kind", "train_path", "test_path"}, "data")
-        return CsvDataConfig(**obj)
-    raise ConfigError(f"unknown data kind: {kind}")
-
-
-def _parse_partition(obj: dict) -> PartitionConfig:
-    _strict(obj, {"scheme", "shards_per_client", "shard_size"}, "partition")
-    return PartitionConfig(**obj)
+    # Annotations are strings (postponed evaluation); look the names up where
+    # the dataclass is defined.
+    scope = vars(sys.modules[cls.__module__])
+    kwargs = {}
+    for key, value in obj.items():
+        path = f"{where}.{key}"
+        names = types[key].split(" | ")
+        members = [type(None) if n == "None" else scope.get(n) or getattr(builtins, n) for n in names]
+        if is_dataclass(members[0]):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path} must be a JSON object")
+            if len(members) > 1:
+                kind = value.get("kind")
+                members = [m for m in members if m.kind == kind]
+                if not members:
+                    raise ConfigError(f"unknown {key} kind: {kind}")
+            value = from_dict(members[0], value, path)
+        else:
+            if float in members:
+                members.append(int)
+            if isinstance(value, bool) or not isinstance(value, tuple(members)):
+                raise ConfigError(f"{path} must be {types[key]}, got {type(value).__name__}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(obj: dict) -> ScenarioConfig:
-    top = {
-        "scenario",
-        "n_clients",
-        "n_malicious",
-        "clients_per_round",
-        "rounds",
-        "seed",
-        "attack",
-        "rule",
-        "train",
-        "stpa",
-        "model",
-        "data",
-        "partition",
-    }
-    _strict(obj, top, "config")
-    try:
-        kwargs = dict(obj)
-        for key, parser in (
-            ("attack", _parse_attack),
-            ("rule", _parse_rule),
-            ("train", _parse_train),
-            ("stpa", _parse_stpa),
-            ("model", _parse_model),
-            ("data", _parse_data),
-            ("partition", _parse_partition),
-        ):
-            if key in kwargs:
-                kwargs[key] = parser(kwargs[key])
-        return ScenarioConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return from_dict(ScenarioConfig, obj, "config")
 
 
 def load_config(path, seed_flag: int | None) -> ScenarioConfig:
@@ -185,7 +127,9 @@ def cmd_run(args) -> int:
         cf.write(",".join(CSV_COLUMNS) + "\n")
         cf.flush()
         for log in iter_experiment(cfg):
-            row = log.to_dict()
+            # The instance dict is RoundLog's fields in order. dataclasses.asdict
+            # gives the same dict but deep-copies every value, per round.
+            row = vars(log)
             jf.write(json.dumps(row) + "\n")
             jf.flush()
             cf.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")

@@ -101,6 +101,17 @@ class ScenarioConfig:
             raise ValueError("cross_silo requires clients_per_round == n_clients")
         if self.rounds < 0:
             raise ValueError("rounds must be nonnegative")
+        # Krum scores each update by its n - f - 2 nearest peers (Blanchard et
+        # al., 2017). Under stpa the inner rule sees only the kept cluster,
+        # which can shrink to a bare majority of the roster.
+        if self.rule.kind == "stpa":
+            krum, n = self.stpa.inner_rule, self.clients_per_round // 2 + 1
+        else:
+            krum, n = self.rule, self.clients_per_round
+        if krum.kind == "krum" and not 1 <= krum.m <= n - krum.f - 2:
+            raise ValueError(
+                f"krum needs 1 <= m <= n - f - 2, got m={krum.m}, n={n}, f={krum.f}"
+            )
 
 
 @dataclass
@@ -113,18 +124,6 @@ class RoundLog:
     eta: float | None
     discarded: bool
     test_error_pct: float
-
-    def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "selected": self.selected,
-            "malicious_selected": self.malicious_selected,
-            "benign_kept": self.benign_kept,
-            "alpha": self.alpha,
-            "eta": self.eta,
-            "discarded": self.discarded,
-            "test_error_pct": self.test_error_pct,
-        }
 
 
 @dataclass

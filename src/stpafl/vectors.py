@@ -16,8 +16,6 @@ import numpy as np
 # Norms below this are treated as zero for cosine similarity.
 ZERO_NORM_EPS = 1e-12
 
-ParamVector = np.ndarray
-
 
 def as_vector(values) -> np.ndarray:
     """Coerce to a flat float64 vector, rejecting NaN/inf."""

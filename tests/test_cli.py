@@ -1,9 +1,22 @@
 import json
+from dataclasses import MISSING, asdict, fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from stpafl import cli, data
+from stpafl.aggregation import AggregationRule
+from stpafl.attacks import AttackSpec
+from stpafl.models import TrainConfig
+from stpafl.simulation import (
+    BlobsDataConfig,
+    CsvDataConfig,
+    IdxDataConfig,
+    ModelConfig,
+    PartitionConfig,
+    ScenarioConfig,
+)
+from stpafl.stpa import StpaConfig
 
 
 def base_config(**kw):
@@ -61,6 +74,136 @@ def test_run_invalid_json_exits_2(tmp_path):
 def test_run_unknown_key_rejected(tmp_path):
     cfg_path = write_config(tmp_path, base_config(bogus=1))
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param({"n_clients": "4"}, "config.n_clients must be int, got str", id="int_str"),
+        pytest.param({"n_clients": True}, "config.n_clients must be int, got bool", id="int_bool"),
+        pytest.param({"rounds": 2.5}, "config.rounds must be int, got float", id="int_float"),
+        pytest.param({"data": {"dim": 3}}, "unknown data kind: None", id="no_data_kind"),
+        pytest.param(
+            {"rule": {"kind": "stpa"}, "stpa": {"inner_rule": {"kind": "fed_avg", "x": 0}}},
+            "unknown keys in config.stpa.inner_rule: ['x']",
+            id="nested_unknown_key",
+        ),
+        # Krum needs 1 <= m <= n - f - 2: here n = 4.
+        pytest.param(
+            {"rule": {"kind": "krum", "f": 3, "m": 1}},
+            "krum needs 1 <= m <= n - f - 2",
+            id="krum_infeasible",
+        ),
+        # stpa may keep only 6 // 2 + 1 = 4 slots for its inner Krum.
+        pytest.param(
+            {
+                "n_clients": 6,
+                "n_malicious": 2,
+                "clients_per_round": 6,
+                "attack": {"kind": "ipm"},
+                "rule": {"kind": "stpa"},
+                "stpa": {"inner_rule": {"kind": "krum", "f": 2, "m": 1}},
+            },
+            "krum needs 1 <= m <= n - f - 2",
+            id="stpa_inner_krum_infeasible",
+        ),
+    ],
+)
+def test_bad_config_exits_2_before_output(tmp_path, capsys, overrides, message):
+    cfg_path = write_config(tmp_path, base_config(**overrides))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_float_field_takes_int_and_optional_field_takes_null():
+    cfg = cli.parse_config(
+        base_config(attack={"kind": "byzantine_gaussian", "sigma": 3}, train={"batch_size": None})
+    )
+    assert cfg.attack.sigma == 3.0
+    assert cfg.train.batch_size is None
+
+
+CONFIG_CLASSES = (
+    ScenarioConfig,
+    AttackSpec,
+    AggregationRule,
+    TrainConfig,
+    StpaConfig,
+    ModelConfig,
+    BlobsDataConfig,
+    IdxDataConfig,
+    CsvDataConfig,
+    PartitionConfig,
+)
+
+# Between them these set every field of every config class away from its
+# default, and use every rule, attack and data kind.
+ROUND_TRIP_CONFIGS = [
+    ScenarioConfig(
+        scenario="cross_silo", n_clients=5, n_malicious=1, clients_per_round=5, rounds=7, seed=1,
+        data=BlobsDataConfig(
+            n_classes=3, dim=4, samples_per_class=9, test_samples_per_class=6, spread=1.5
+        ),
+    ),
+    ScenarioConfig(
+        scenario="cross_silo", n_clients=5, n_malicious=2, clients_per_round=5, rounds=1, seed=2,
+        attack=AttackSpec("byzantine_gaussian", sigma=5.0),
+        rule=AggregationRule("coordinate_median"),
+        data=IdxDataConfig("a.idx", "b.idx", "c.idx", "d.idx"),
+    ),
+    ScenarioConfig(
+        scenario="cross_silo", n_clients=5, n_malicious=2, clients_per_round=5, rounds=1, seed=3,
+        attack=AttackSpec("noisy", low=-2.0, high=2.0, clip_lo=-3.0, clip_hi=3.0),
+        rule=AggregationRule("trimmed_mean", gamma=0.2),
+        data=CsvDataConfig("train.csv", "test.csv"),
+    ),
+    ScenarioConfig(
+        scenario="cross_device", n_clients=30, n_malicious=3, clients_per_round=10, rounds=1, seed=4,
+        attack=AttackSpec("label_flip", target=2),
+        rule=AggregationRule("krum", f=2, m=3),
+        train=TrainConfig(local_steps=3, local_lr=0.05, batch_size=8),
+        model=ModelConfig("mlp", hidden=16),
+        partition=PartitionConfig("noniid_shards", shards_per_client=3, shard_size=5),
+    ),
+    ScenarioConfig(
+        scenario="cross_device", n_clients=30, n_malicious=9, clients_per_round=12, rounds=1, seed=5,
+        attack=AttackSpec("ipm", epsilon=2.0),
+        rule=AggregationRule("stpa"),
+        stpa=StpaConfig(s_t=0.1, beta=0.9, eta0=1.5, inner_rule=AggregationRule("krum", f=1, m=2)),
+    ),
+    ScenarioConfig(
+        scenario="cross_silo", n_clients=8, n_malicious=3, clients_per_round=8, rounds=1, seed=6,
+        attack=AttackSpec("alie", epsilon=1.5),
+        rule=AggregationRule("stpa"),
+        stpa=StpaConfig(inner_rule=AggregationRule("trimmed_mean", gamma=0.1)),
+    ),
+]
+
+
+def _fields_set(obj, acc):
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.default is MISSING or value != f.default:
+            acc.add((type(obj), f.name))
+        if is_dataclass(value):
+            _fields_set(value, acc)
+
+
+def test_round_trip_configs_cover_every_field():
+    covered = set()
+    for cfg in ROUND_TRIP_CONFIGS:
+        _fields_set(cfg, covered)
+    # A data config's kind is fixed by its class, so it never leaves its default.
+    data_kinds = {(c, "kind") for c in (BlobsDataConfig, IdxDataConfig, CsvDataConfig)}
+    every = {(c, f.name) for c in CONFIG_CLASSES for f in fields(c)}
+    assert every - data_kinds <= covered
+
+
+@pytest.mark.parametrize("cfg", ROUND_TRIP_CONFIGS, ids=lambda c: f"seed{c.seed}")
+def test_parse_config_round_trips_asdict(cfg):
+    assert cli.parse_config(asdict(cfg)) == cfg
 
 
 def test_run_byte_identical_reruns(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,7 @@ def test_experiment_deterministic():
     cfg = small_cfg(attack=AttackSpec("byzantine_gaussian"), rule=AggregationRule("coordinate_median"))
     a = run_experiment(cfg)
     b = run_experiment(cfg)
-    assert [l.to_dict() for l in a] == [l.to_dict() for l in b]
+    assert [asdict(l) for l in a] == [asdict(l) for l in b]
 
 
 def test_single_client_fed_avg_identity():
