@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import builtins
 import json
+import math
 import os
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -46,8 +47,8 @@ def from_dict(cls, obj: dict, where: str):
     The dataclass's fields are the schema. A field annotated with a config
     dataclass recurses; a union of them picks the member whose `kind` default
     matches obj["kind"]. Leaf values must match the annotation: a float field
-    takes an int, and bool passes for neither. Range checks are the
-    dataclasses' own __post_init__.
+    takes an int and must be finite, and bool passes for neither. Range checks
+    are the dataclasses' own __post_init__.
     """
     types = {f.name: f.type for f in fields(cls)}
     unknown = obj.keys() - types.keys()
@@ -75,6 +76,8 @@ def from_dict(cls, obj: dict, where: str):
                 members.append(int)
             if isinstance(value, bool) or not isinstance(value, tuple(members)):
                 raise ConfigError(f"{path} must be {types[key]}, got {type(value).__name__}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{path} must be finite, got {value}")
         kwargs[key] = value
     try:
         return cls(**kwargs)

@@ -108,12 +108,6 @@ class ClientPool:
         return cls(stacks, counts)
 
 
-@dataclass
-class PartitionPlan:
-    assignments: list  # list of np.ndarray of row indices, one per client
-    scheme: str  # "iid" | "noniid_shards"
-
-
 def normalize(dataset: LabeledDataset, lo: float, hi: float) -> LabeledDataset:
     """Affinely map the global feature range into [lo, hi].
 
@@ -216,14 +210,13 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     return LabeledDataset(features, labels, n_classes)
 
 
-def partition_iid(dataset: LabeledDataset, n_clients: int, seed: int) -> PartitionPlan:
+def partition_iid(dataset: LabeledDataset, n_clients: int, seed: int) -> list[np.ndarray]:
     """Shuffle rows by seed, then deal round-robin; sizes differ by at most 1."""
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(dataset))
-    assignments = [perm[k::n_clients].copy() for k in range(n_clients)]
-    return PartitionPlan(assignments, "iid")
+    return [perm[k::n_clients].copy() for k in range(n_clients)]
 
 
 def partition_noniid_shards(
@@ -232,7 +225,7 @@ def partition_noniid_shards(
     shards_per_client: int,
     shard_size: int,
     seed: int,
-) -> PartitionPlan:
+) -> list[np.ndarray]:
     """Label-sorted shards of fixed size, shuffled and dealt per client.
 
     Rows beyond n_clients * shards_per_client * shard_size are discarded.
@@ -249,7 +242,7 @@ def partition_noniid_shards(
     for k in range(n_clients):
         picked = shard_order[k * shards_per_client : (k + 1) * shards_per_client]
         assignments.append(np.concatenate([shards[s] for s in picked]))
-    return PartitionPlan(assignments, "noniid_shards")
+    return assignments
 
 
 def apply_noise(

@@ -1,8 +1,9 @@
-"""Small differentiable classifiers with analytic gradients.
+"""A small softmax classifier with analytic gradients, and local training.
 
-Both model families operate on a single flat float64 parameter vector with a
-fixed, documented packing order, so aggregation rules can treat client
-submissions as plain vectors.
+The linear model and the MLP are one Model, with zero or one hidden tanh
+layer. It operates on a single flat float64 parameter vector with a fixed,
+documented packing order, so aggregation rules can treat client submissions
+as plain vectors.
 """
 
 from __future__ import annotations
@@ -60,134 +61,82 @@ def _softmax_residual(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return P
 
 
-class LinearSoftmaxModel:
-    """Multinomial logistic regression. Packing order: W row-major, then b.
+class Model:
+    """Softmax classifier: affine layers with tanh between them.
+
+    Layer sizes run n_features, *hidden, n_classes; with no hidden layer this
+    is multinomial logistic regression. Packing order: each layer's weight
+    (out, in) row-major, then its bias, layer by layer.
 
     unpack, pack, logits and gradient also take a leading batch axis: params
     (K, dim) with features (K, N, F) and labels (K, N) act as K models.
     """
 
-    def __init__(self, n_features: int, n_classes: int):
-        self.n_features = n_features
-        self.n_classes = n_classes
-
-    @property
-    def dim(self) -> int:
-        return self.n_classes * self.n_features + self.n_classes
-
-    @property
-    def width(self) -> int:
-        """Widest per-sample activation: the logits."""
-        return self.n_classes
-
-    def init_params(self, rng: np.random.Generator) -> np.ndarray:
-        bound = 1.0 / np.sqrt(self.n_features)
-        return rng.uniform(-bound, bound, size=self.dim)
-
-    def unpack(self, params: np.ndarray):
-        cut = self.n_classes * self.n_features
-        W = params[..., :cut].reshape(params.shape[:-1] + (self.n_classes, self.n_features))
-        b = params[..., cut:]
-        return W, b
-
-    def pack(self, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-        lead = b.shape[:-1]
-        return np.concatenate([W.reshape(lead + (-1,)), b], axis=-1)
-
-    def logits(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        W, b = self.unpack(params)
-        return _affine(X, W, b)
-
-    def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        P = _softmax_residual(self.logits(params, X), y)
-        dW = _T(P) @ X
-        db = P.sum(axis=-2)
-        return self.pack(dW, db)
-
-
-class MlpModel:
-    """One-hidden-layer tanh network. Packing order: w1, b1, w2, b2.
-
-    Takes a leading batch axis like LinearSoftmaxModel.
-    """
-
-    def __init__(self, n_features: int, hidden: int, n_classes: int):
-        self.n_features = n_features
-        self.hidden = hidden
-        self.n_classes = n_classes
-
-    @property
-    def dim(self) -> int:
-        return (
-            self.hidden * self.n_features
-            + self.hidden
-            + self.n_classes * self.hidden
-            + self.n_classes
-        )
-
-    @property
-    def width(self) -> int:
-        """Widest per-sample activation: the hidden layer."""
-        return self.hidden
+    def __init__(self, n_features: int, n_classes: int, hidden: tuple[int, ...] = ()):
+        sizes = (n_features, *hidden, n_classes)
+        # Per layer: weight shape (out, in), weight start, bias start, bias end.
+        # Computed once, since unpack runs on every gradient step.
+        self._layers = []
+        end = 0
+        for n_out, n_in in zip(sizes[1:], sizes[:-1]):
+            start, end = end, end + n_out * n_in + n_out
+            self._layers.append(((n_out, n_in), start, end - n_out, end))
+        self.dim = end
+        self.width = max(sizes[1:])  # widest per-sample activation; sizes training blocks
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
-        b1 = 1.0 / np.sqrt(self.n_features)
-        b2 = 1.0 / np.sqrt(self.hidden)
         return np.concatenate(
             [
-                rng.uniform(-b1, b1, size=self.hidden * self.n_features + self.hidden),
-                rng.uniform(-b2, b2, size=self.n_classes * self.hidden + self.n_classes),
+                rng.uniform(-1.0 / np.sqrt(n_in), 1.0 / np.sqrt(n_in), size=end - start)
+                for (_, n_in), start, _, end in self._layers
             ]
         )
 
-    def unpack(self, params: np.ndarray):
-        h, f, c = self.hidden, self.n_features, self.n_classes
+    def unpack(self, params: np.ndarray) -> list[np.ndarray]:
+        """[W1, b1, W2, b2, ...] as views of params."""
         lead = params.shape[:-1]
-        i = 0
-        w1 = params[..., i : i + h * f].reshape(lead + (h, f))
-        i += h * f
-        b1 = params[..., i : i + h]
-        i += h
-        w2 = params[..., i : i + c * h].reshape(lead + (c, h))
-        i += c * h
-        b2 = params[..., i : i + c]
-        return w1, b1, w2, b2
+        layers = []
+        for shape, start, cut, end in self._layers:
+            layers += [params[..., start:cut].reshape(lead + shape), params[..., cut:end]]
+        return layers
 
-    def pack(self, w1, b1, w2, b2) -> np.ndarray:
-        lead = b1.shape[:-1]
-        return np.concatenate(
-            [w1.reshape(lead + (-1,)), b1, w2.reshape(lead + (-1,)), b2], axis=-1
-        )
+    def pack(self, *layers: np.ndarray) -> np.ndarray:
+        lead = layers[1].shape[:-1]
+        return np.concatenate([a.reshape(lead + (-1,)) for a in layers], axis=-1)
 
-    def _hidden(self, w1, b1, X) -> np.ndarray:
-        hidden = _affine(X, w1, b1)
-        return np.tanh(hidden, out=hidden)
+    @staticmethod
+    def _forward(layers, X):
+        """The input of every layer (X, then each tanh activation) and the logits."""
+        inputs = [X]
+        for W, b in zip(layers[0:-2:2], layers[1:-2:2]):
+            hidden = _affine(inputs[-1], W, b)
+            inputs.append(np.tanh(hidden, out=hidden))
+        return inputs, _affine(inputs[-1], layers[-2], layers[-1])
 
     def logits(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2 = self.unpack(params)
-        return _affine(self._hidden(w1, b1, X), w2, b2)
+        return self._forward(self.unpack(params), X)[1]
 
     def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2 = self.unpack(params)
-        hidden = self._hidden(w1, b1, X)
-        P = _softmax_residual(_affine(hidden, w2, b2), y)
-        dw2 = _T(P) @ hidden
-        db2 = P.sum(axis=-2)
-        dpre = P @ w2
-        slope = hidden * hidden
-        np.subtract(1.0, slope, out=slope)
-        dpre *= slope  # tanh' = 1 - tanh^2
-        dw1 = _T(dpre) @ X
-        db1 = dpre.sum(axis=-2)
-        return self.pack(dw1, db1, dw2, db2)
+        layers = self.unpack(params)
+        inputs, logits = self._forward(layers, X)
+        delta = _softmax_residual(logits, y)
+        grads = [None] * len(layers)
+        for k in reversed(range(len(inputs))):  # layer k: layers[2k] @ inputs[k] + layers[2k+1]
+            h = inputs[k]
+            grads[2 * k] = _T(delta) @ h
+            grads[2 * k + 1] = delta.sum(axis=-2)
+            if k:
+                delta = delta @ layers[2 * k]
+                slope = h * h
+                np.subtract(1.0, slope, out=slope)
+                delta *= slope  # tanh' = 1 - tanh^2
+        return self.pack(*grads)
 
 
-def make_model(kind: str, n_features: int, n_classes: int, hidden: int = 200):
-    if kind == "linear":
-        return LinearSoftmaxModel(n_features, n_classes)
-    if kind == "mlp":
-        return MlpModel(n_features, hidden, n_classes)
-    raise ValueError(f"unknown model kind: {kind}")
+def make_model(kind: str, n_features: int, n_classes: int, hidden: int = 200) -> Model:
+    if kind not in ("linear", "mlp"):
+        raise ValueError(f"unknown model kind: {kind}")
+    return Model(n_features, n_classes, (hidden,) if kind == "mlp" else ())
 
 
 def loss(model, params: np.ndarray, dataset: LabeledDataset) -> float:

@@ -112,6 +112,14 @@ class ScenarioConfig:
             raise ValueError(
                 f"krum needs 1 <= m <= n - f - 2, got m={krum.m}, n={n}, f={krum.f}"
             )
+        # idx/csv sizes are known only after loading; partition_noniid_shards
+        # checks those at run time.
+        part = self.partition
+        if self.data.kind == "blobs" and part.scheme == "noniid_shards":
+            needed = self.n_clients * part.shards_per_client * part.shard_size
+            have = self.data.n_classes * self.data.samples_per_class
+            if needed > have:
+                raise ValueError(f"need {needed} samples for the shard plan, have {have}")
 
 
 @dataclass
@@ -168,9 +176,9 @@ def build_data(cfg: ScenarioConfig) -> tuple[data.LabeledDataset, data.LabeledDa
 def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> data.ClientPool:
     """Partition the training data, corrupt the malicious clients' shares, stack."""
     if cfg.partition.scheme == "iid":
-        plan = data.partition_iid(train, cfg.n_clients, derive_seed(cfg.seed, 2))
+        assignments = data.partition_iid(train, cfg.n_clients, derive_seed(cfg.seed, 2))
     else:
-        plan = data.partition_noniid_shards(
+        assignments = data.partition_noniid_shards(
             train,
             cfg.n_clients,
             cfg.partition.shards_per_client,
@@ -181,9 +189,9 @@ def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> da
     if cfg.attack.kind in attacks.DATA_ATTACKS:
         for cid in range(cfg.n_malicious):
             corrupted[cid] = attacks.apply_data_attack(
-                cfg.attack, train.subset(plan.assignments[cid]), derive_seed(cfg.seed, 3, cid)
+                cfg.attack, train.subset(assignments[cid]), derive_seed(cfg.seed, 3, cid)
             )
-    return data.ClientPool.from_partition(train, plan.assignments, corrupted)
+    return data.ClientPool.from_partition(train, assignments, corrupted)
 
 
 def train_clients(model, w_t, pool: data.ClientPool, ids, cfg: ScenarioConfig, r: int, out):

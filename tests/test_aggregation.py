@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stpafl import aggregation
 from stpafl.aggregation import AggregationRule, apply_rule
@@ -186,16 +189,31 @@ def test_empty_and_mismatched_updates_rejected():
         aggregation.coordinate_median(bad)
 
 
-def test_permutation_invariance():
-    rng = np.random.default_rng(3)
-    X = rng.standard_normal((7, 5))
-    for perm in [rng.permutation(7) for _ in range(5)]:
-        a = aggregation.coordinate_median(mk(list(X)))
-        b = aggregation.coordinate_median(mk(list(X[perm])))
-        assert np.array_equal(a, b)
-        a = aggregation.trimmed_mean(mk(list(X)), 0.2)
-        b = aggregation.trimmed_mean(mk(list(X[perm])), 0.2)
-        assert np.allclose(a, b, rtol=0, atol=1e-15)
+def matrices(bound):
+    """(n, d) float64 arrays, n in [1, 12], d in [1, 6], entries in [-bound, bound]."""
+    return st.tuples(st.integers(1, 12), st.integers(1, 6)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(-bound, bound))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(1e6), st.data())
+def test_permutation_invariance(X, data):
+    perm = np.array(data.draw(st.permutations(range(len(X)))))
+    a = aggregation.coordinate_median(mk(list(X)))
+    b = aggregation.coordinate_median(mk(list(X[perm])))
+    assert np.array_equal(a, b)
+    a = aggregation.trimmed_mean(mk(list(X)), 0.2)
+    b = aggregation.trimmed_mean(mk(list(X[perm])), 0.2)
+    assert np.allclose(a, b, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(1e3), st.data())
+def test_translation_equivariance(X, data):
+    c = data.draw(hnp.arrays(np.float64, X.shape[1], elements=st.floats(-1e3, 1e3)))
+    for rule in (aggregation.coordinate_median, lambda u: aggregation.trimmed_mean(u, 0.2)):
+        assert np.allclose(rule(mk(list(X + c))), rule(mk(list(X))) + c)
 
 
 def test_median_breakdown_against_minority_outliers():

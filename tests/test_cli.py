@@ -107,6 +107,31 @@ def test_run_unknown_key_rejected(tmp_path):
             "krum needs 1 <= m <= n - f - 2",
             id="stpa_inner_krum_infeasible",
         ),
+        # JSON NaN/Infinity pass one-sided range checks such as local_lr > 0.
+        pytest.param(
+            {"train": {"local_lr": float("nan")}},
+            "config.train.local_lr must be finite, got nan",
+            id="lr_nan",
+        ),
+        pytest.param(
+            {"stpa": {"eta0": float("nan")}}, "config.stpa.eta0 must be finite, got nan", id="eta0_nan"
+        ),
+        pytest.param(
+            {"data": {"kind": "blobs", "spread": float("nan")}},
+            "config.data.spread must be finite, got nan",
+            id="spread_nan",
+        ),
+        pytest.param(
+            {"attack": {"kind": "byzantine_gaussian", "sigma": float("inf")}},
+            "config.attack.sigma must be finite, got inf",
+            id="sigma_inf",
+        ),
+        # 4 clients x 2 shards x 300 rows > 3 classes x 30 rows of blobs.
+        pytest.param(
+            {"partition": {"scheme": "noniid_shards", "shards_per_client": 2, "shard_size": 300}},
+            "need 2400 samples for the shard plan, have 90",
+            id="blobs_shard_plan_too_large",
+        ),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, overrides, message):

@@ -130,22 +130,22 @@ def test_load_idx_count_mismatch(tmp_path):
 def test_partition_iid_even_split():
     ds = LabeledDataset(np.zeros((100, 1)), np.zeros(100, dtype=int), 1)
     plan = data.partition_iid(ds, 10, 0)
-    sizes = [len(a) for a in plan.assignments]
+    sizes = [len(a) for a in plan]
     assert sizes == [10] * 10
-    all_idx = np.sort(np.concatenate(plan.assignments))
+    all_idx = np.sort(np.concatenate(plan))
     assert np.array_equal(all_idx, np.arange(100))
 
 
 def test_partition_iid_pigeonhole():
     ds = LabeledDataset(np.zeros((101, 1)), np.zeros(101, dtype=int), 1)
-    sizes = sorted(len(a) for a in data.partition_iid(ds, 10, 0).assignments)
+    sizes = sorted(len(a) for a in data.partition_iid(ds, 10, 0))
     assert sizes == [10] * 9 + [11]
 
 
 def test_partition_iid_deterministic():
     ds = LabeledDataset(np.zeros((50, 1)), np.zeros(50, dtype=int), 1)
-    a = data.partition_iid(ds, 7, 5).assignments
-    b = data.partition_iid(ds, 7, 5).assignments
+    a = data.partition_iid(ds, 7, 5)
+    b = data.partition_iid(ds, 7, 5)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -155,7 +155,7 @@ def test_partition_shards_single_class_clients():
     # ends up holding exactly one class.
     ds = data.generate_blobs(2, 3, 50, 0.5, 0)
     plan = data.partition_noniid_shards(ds, 2, 1, 50, 1)
-    held = [set(ds.labels[a]) for a in plan.assignments]
+    held = [set(ds.labels[a]) for a in plan]
     assert all(len(h) == 1 for h in held)
     assert held[0] != held[1]
 
@@ -163,7 +163,7 @@ def test_partition_shards_single_class_clients():
 def test_partition_shards_label_concentration():
     ds = data.generate_blobs(10, 4, 60, 0.5, 2)
     plan = data.partition_noniid_shards(ds, 10, 2, 30, 3)
-    for a in plan.assignments:
+    for a in plan:
         assert len(a) == 60
         assert len(set(ds.labels[a])) <= 2
 

@@ -1,0 +1,26 @@
+import ast
+import sys
+from pathlib import Path
+
+import stpafl
+
+# numpy is the only declared runtime dependency (pyproject.toml). Packages
+# that happen to be installed, such as scipy, would import fine in a dev
+# environment and break a clean install.
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    sources = sorted(Path(stpafl.__file__).parent.glob("*.py"))
+    assert sources
+    stray = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in ALLOWED]
+    assert stray == []

@@ -4,7 +4,7 @@ import pytest
 from stpafl import models, simulation
 from stpafl.attacks import AttackSpec, apply_data_attack
 from stpafl.data import ClientStack, LabeledDataset, partition_iid
-from stpafl.models import LinearSoftmaxModel, MlpModel, TrainConfig
+from stpafl.models import Model, TrainConfig
 from stpafl.simulation import BlobsDataConfig, ModelConfig, ScenarioConfig, derive_seed
 
 
@@ -36,14 +36,14 @@ def test_train_config_validation():
 
 
 def test_packing_round_trip():
-    lin = LinearSoftmaxModel(4, 3)
+    lin = Model(4, 3)
     rng = np.random.default_rng(0)
     p = lin.init_params(rng)
     assert p.shape == (lin.dim,)
     W, b = lin.unpack(p)
     assert np.array_equal(lin.pack(W, b), p)
 
-    mlp = MlpModel(4, 6, 3)
+    mlp = Model(4, 3, (6,))
     q = mlp.init_params(rng)
     assert q.shape == (mlp.dim,)
     assert np.array_equal(mlp.pack(*mlp.unpack(q)), q)
@@ -52,13 +52,13 @@ def test_packing_round_trip():
 def test_loss_uniform_predictor():
     # all-zero parameters predict the uniform distribution: loss = ln(C)
     for c in (2, 5, 10):
-        model = LinearSoftmaxModel(3, c)
+        model = Model(3, c)
         ds = random_dataset(np.random.default_rng(c), 30, 3, c)
         assert models.loss(model, np.zeros(model.dim), ds) == pytest.approx(np.log(c))
 
 
 def test_loss_confident_correct_prediction():
-    model = LinearSoftmaxModel(1, 2)
+    model = Model(1, 2)
     ds = LabeledDataset(np.array([[1.0]]), np.array([0]), 2)
     # large margin toward the true class drives the loss toward 0
     p = model.pack(np.array([[50.0], [-50.0]]), np.zeros(2))
@@ -66,7 +66,7 @@ def test_loss_confident_correct_prediction():
 
 
 def test_loss_duplication_invariance():
-    model = LinearSoftmaxModel(2, 3)
+    model = Model(2, 3)
     rng = np.random.default_rng(1)
     ds = random_dataset(rng, 10, 2, 3)
     doubled = LabeledDataset(
@@ -79,7 +79,7 @@ def test_loss_duplication_invariance():
 def test_linear_gradient_hand_case():
     # zero params, one sample x, true class 0 of 2: softmax is (1/2, 1/2), so
     # the class-0 weight-row gradient is (1/2 - 1) x = -x/2 and class 1 gets +x/2.
-    model = LinearSoftmaxModel(3, 2)
+    model = Model(3, 2)
     x = np.array([0.4, -1.0, 2.0])
     ds = LabeledDataset(x[None, :], np.array([0]), 2)
     g = models.gradient(model, np.zeros(model.dim), ds)
@@ -90,7 +90,7 @@ def test_linear_gradient_hand_case():
 
 
 def test_gradient_zero_at_confident_optimum():
-    model = LinearSoftmaxModel(1, 2)
+    model = Model(1, 2)
     ds = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
     p = model.pack(np.array([[60.0], [-60.0]]), np.zeros(2))
     assert np.linalg.norm(models.gradient(model, p, ds)) < 1e-10
@@ -109,9 +109,23 @@ def test_gradient_matches_finite_differences(kind):
         assert rel < 1e-6
 
 
+def test_two_hidden_layers_gradient_and_width():
+    # The backward loop past one hidden layer, with a hidden layer narrower
+    # than the logits; width is the widest layer output.
+    rng = np.random.default_rng(43)
+    model = Model(4, 3, (5, 2))
+    assert model.dim == 5 * 4 + 5 + 2 * 5 + 2 + 3 * 2 + 3
+    assert model.width == 5 and Model(4, 6, (3,)).width == 6
+    ds = random_dataset(rng, 12, 4, 3)
+    p = rng.standard_normal(model.dim) * 0.5
+    fd = fd_gradient(model, p, ds)
+    assert np.linalg.norm(models.gradient(model, p, ds) - fd) / np.linalg.norm(fd) < 1e-6
+    assert np.array_equal(model.pack(*model.unpack(p)), p)
+
+
 def test_local_train_zero_steps_rejected_and_descends():
     rng = np.random.default_rng(5)
-    model = LinearSoftmaxModel(3, 2)
+    model = Model(3, 2)
     ds = random_dataset(rng, 20, 3, 2)
     p0 = model.init_params(rng)
     p1 = models.local_train(model, p0, ds, TrainConfig(local_steps=1, local_lr=0.01))
@@ -123,7 +137,7 @@ def test_local_train_zero_steps_rejected_and_descends():
 
 def test_local_train_minibatch_deterministic_by_seed():
     rng = np.random.default_rng(6)
-    model = LinearSoftmaxModel(3, 2)
+    model = Model(3, 2)
     ds = random_dataset(rng, 30, 3, 2)
     p0 = model.init_params(rng)
     cfg = TrainConfig(local_steps=3, local_lr=0.05, batch_size=8)
@@ -135,7 +149,7 @@ def test_local_train_minibatch_deterministic_by_seed():
 
 
 def test_evaluate_error_perfect_and_constant():
-    model = LinearSoftmaxModel(1, 2)
+    model = Model(1, 2)
     ds = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
     perfect = model.pack(np.array([[10.0], [-10.0]]), np.zeros(2))
     assert models.evaluate_error(model, perfect, ds) == 0.0
@@ -145,7 +159,7 @@ def test_evaluate_error_perfect_and_constant():
 
 
 def test_evaluate_error_tie_break_to_class_zero():
-    model = LinearSoftmaxModel(2, 3)
+    model = Model(2, 3)
     ds = LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0, 1, 2]), 3)
     # all-zero params tie every class; argmax picks class 0
     err = models.evaluate_error(model, np.zeros(model.dim), ds)
@@ -239,12 +253,12 @@ def test_pool_rows_equal_corrupted_partition(attack):
     train, _ = simulation.build_data(cfg)
     pool = simulation.setup_client_datasets(cfg, train)
     plan = partition_iid(train, cfg.n_clients, derive_seed(cfg.seed, 2))
-    assert pool.counts == [len(idx) for idx in plan.assignments] == [7, 7, 7, 6, 6, 6, 6]
+    assert pool.counts == [len(idx) for idx in plan] == [7, 7, 7, 6, 6, 6, 6]
     seen = []
     for stack in pool.stacks:
         assert np.all(np.diff(stack.ids) > 0)
         for k, cid in enumerate(stack.ids):
-            expected = train.subset(plan.assignments[cid])
+            expected = train.subset(plan[cid])
             if cid < cfg.n_malicious:
                 expected = apply_data_attack(cfg.attack, expected, derive_seed(cfg.seed, 3, cid))
             assert np.array_equal(stack.features[k], expected.features)

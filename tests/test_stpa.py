@@ -273,9 +273,10 @@ def test_bipartition_matches_reference(levels):
             min_size=n * (n - 1) // 2,
             max_size=n * (n - 1) // 2,
         ).map(lambda upper: (n, upper))
-    )
+    ),
+    st.floats(-1.0, 1.0),
 )
-def test_bipartition_is_ordered_partition(case):
+def test_bipartition_is_ordered_partition(case, s_t):
     n, upper = case
     S = np.zeros((n, n))
     S[np.triu_indices(n, 1)] = upper
@@ -286,6 +287,8 @@ def test_bipartition_is_ordered_partition(case):
     assert list(c1) == sorted(c1) and list(c2) == sorted(c2)
     assert sorted(c1 + c2) == list(range(n))
     assert c1[0] < c2[0]
+    # The Krum inner-rule parse check relies on this lower bound.
+    assert len(stpa.partition_round(S, s_t).benign) >= n // 2 + 1
 
 
 # ---------------------------------------------------------------- split decision
