@@ -74,6 +74,31 @@ CONFIGS = {
         "partition": {"scheme": "noniid_shards", "shards_per_client": 2, "shard_size": 10},
         "data": SMALL_BLOBS,
     },
+    # The kept set can shrink to 30 // 2 + 1 = 16 slots, so Krum runs on a
+    # roster whose size changes with the round's IPM draw.
+    "stpa_device_ipm_krum": {
+        "scenario": "cross_device", "n_clients": 90, "n_malicious": 30,
+        "clients_per_round": 30, "rounds": 20, "seed": 10,
+        "attack": {"kind": "ipm", "epsilon": 1.0},
+        "rule": {"kind": "stpa"},
+        "stpa": {"inner_rule": {"kind": "krum", "f": 4, "m": 3}},
+        "data": SMALL_BLOBS,
+    },
+    # IPM rows are identical, so every coordinate sort meets ties.
+    "trimmed_mean_silo_ipm": {
+        "scenario": "cross_silo", "n_clients": 11, "n_malicious": 3,
+        "clients_per_round": 11, "rounds": 20, "seed": 11,
+        "attack": {"kind": "ipm", "epsilon": 0.5},
+        "rule": {"kind": "trimmed_mean", "gamma": 0.3},
+        "data": SMALL_BLOBS,
+    },
+    "stpa_device_none": {
+        "scenario": "cross_device", "n_clients": 40, "n_malicious": 0,
+        "clients_per_round": 15, "rounds": 20, "seed": 12,
+        "attack": {"kind": "none"},
+        "rule": {"kind": "stpa"},
+        "data": SMALL_BLOBS,
+    },
 }
 
 GOLDEN = {
@@ -93,6 +118,10 @@ GOLDEN = {
         "rounds.jsonl": "121ade98de99f96db66d44f0b9e1776054ba481da15b2819cc4b4736e4bcea41",
         "summary.csv": "be8e604742320f31fbde896d81993c71cd9f61401aa9cbf27cf6f29d8b3c3e16",
     },
+    "stpa_device_ipm_krum": {
+        "rounds.jsonl": "d0ef19c0fcf29853f6b584493b4c263409ab0d9a7f5e49b0c83fd6ba2e56e63e",
+        "summary.csv": "7e8fd0324f078a6348d9f773bc4a081d66cca511011a1595e8415f39f27cd53b",
+    },
     "stpa_device_ipm_minibatch": {
         "rounds.jsonl": "464f5da077b39024ad6ebdcdbd2b1c6f8dab680bb03d5af01057b2c66767fff4",
         "summary.csv": "f244b3017a1cf02691a5f11a466911b8939484d114b2e4f497b9f5c0979a3888",
@@ -101,9 +130,17 @@ GOLDEN = {
         "rounds.jsonl": "5e8a72e218ea0181ddd1b561942234104d96570bd07a06457c364996828b67ce",
         "summary.csv": "29c6a0a2dc24d1ef88d524def112262230e63362f3f54dd7f53c6e1cac1d677a",
     },
+    "stpa_device_none": {
+        "rounds.jsonl": "d6af7bc17ee2b27f805546105ba3c1b85774700421aa999a3df858f5316a76d3",
+        "summary.csv": "fa6ad389389560a25fb49c913827305535f2677d7b6b69005f96206a5d0c03e9",
+    },
     "stpa_silo_alie": {
         "rounds.jsonl": "aebe85dde7ef6077a5b59c4ba7b14225e3633bac3a23dd0670a40ef67498ec89",
         "summary.csv": "1b0509160007629ea5b07488ce7ae61fbe15b80419ac7a2bb1d07d34442e3822",
+    },
+    "trimmed_mean_silo_ipm": {
+        "rounds.jsonl": "2b8d49ebb825f4e8eb6a52e1bc6d01003e8a6f07b85bb97847279b1c804c3a8f",
+        "summary.csv": "0900a28b3850199a7b95d704ea6f81c276ae69b0faa54db127fcb42cbece1e9b",
     },
 }
 
