@@ -30,11 +30,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def _T(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
@@ -137,20 +132,6 @@ def make_model(kind: str, n_features: int, n_classes: int, hidden: int = 200) ->
     if kind not in ("linear", "mlp"):
         raise ValueError(f"unknown model kind: {kind}")
     return Model(n_features, n_classes, (hidden,) if kind == "mlp" else ())
-
-
-def loss(model, params: np.ndarray, dataset: LabeledDataset) -> float:
-    """Mean softmax cross-entropy over the dataset."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    logp = _log_softmax(model.logits(params, dataset.features))
-    return float(-logp[np.arange(len(dataset)), dataset.labels].mean())
-
-
-def gradient(model, params: np.ndarray, dataset: LabeledDataset) -> np.ndarray:
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    return model.gradient(params, dataset.features, dataset.labels)
 
 
 # Element budget for one training block: the most clients whose widest

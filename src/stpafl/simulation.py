@@ -34,6 +34,16 @@ class BlobsDataConfig:
     test_samples_per_class: int = 50
     spread: float = 0.5
 
+    def __post_init__(self):
+        if self.n_classes < 2:
+            raise ValueError("n_classes must be >= 2")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if self.samples_per_class < 1 or self.test_samples_per_class < 1:
+            raise ValueError("samples_per_class and test_samples_per_class must be >= 1")
+        if self.spread < 0:
+            raise ValueError("spread must be nonnegative")
+
 
 @dataclass(frozen=True)
 class IdxDataConfig:
@@ -60,6 +70,8 @@ class PartitionConfig:
     def __post_init__(self):
         if self.scheme not in ("iid", "noniid_shards"):
             raise ValueError(f"unknown partition scheme: {self.scheme}")
+        if self.shards_per_client < 1 or self.shard_size < 1:
+            raise ValueError("shards_per_client and shard_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in ("linear", "mlp"):
             raise ValueError(f"unknown model kind: {self.kind}")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -112,8 +112,10 @@ def bipartition(S: np.ndarray) -> tuple[tuple, tuple]:
     D = 1.0 - np.asarray(S, dtype=np.float64)
     np.fill_diagonal(D, np.inf)
     members = {i: [i] for i in range(n)}
+    # The bound method skips np.argmin's dispatch wrapper on every merge.
+    argmin = D.argmin
     for _ in range(n - 2):
-        a, b = divmod(int(np.argmin(D)), n)
+        a, b = divmod(int(argmin()), n)
         np.maximum(D[a], D[b], out=D[a])
         D[:, a] = D[a]
         D[b] = np.inf

@@ -151,13 +151,34 @@ def test_krum_matches_oracle():
     assert aggregation.krum_selection(u, 2, 3) == krum_oracle(X, 2, 3)
 
 
-@pytest.mark.parametrize("n, d, f", [(3, 1, 0), (8, 5, 2), (20, 6210, 7), (30, 210, 9)])
-def test_krum_scores_match_reference(n, d, f):
+@pytest.mark.parametrize(
+    "n, d, f, integer",
+    [
+        pytest.param(3, 1, 0, False, id="3-1-0"),
+        pytest.param(8, 5, 2, False, id="8-5-2"),
+        pytest.param(20, 6210, 7, False, id="20-6210-7"),
+        pytest.param(30, 210, 9, False, id="30-210-9"),
+        # Integer rows: many tied distances and several duplicate rows, with f
+        # at both ends of its range [0, n - 3].
+        pytest.param(12, 3, 0, True, id="int-12-3-0"),
+        pytest.param(12, 3, 9, True, id="int-12-3-9"),
+        pytest.param(40, 2, 0, True, id="int-40-2-0"),
+        pytest.param(40, 2, 37, True, id="int-40-2-37"),
+    ],
+)
+def test_krum_scores_match_reference(n, d, f, integer):
     rng = np.random.default_rng(n * d)
-    X = rng.standard_normal((n, d))
-    X[1] = X[0]  # a duplicate gives an exact zero distance
-    u = mk(list(X * rng.uniform(0.1, 100.0, size=(n, 1))))
-    assert np.array_equal(aggregation.krum_scores(u, f), krum_scores_reference(u, f))
+    if integer:
+        X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        X[[3, 5, 8]] = X[1]
+    else:
+        X = rng.standard_normal((n, d))
+        X[1] = X[0]  # a duplicate gives an exact zero distance
+        X *= rng.uniform(0.1, 100.0, size=(n, 1))
+    u = mk(list(X))
+    got, want = aggregation.krum_scores(u, f), krum_scores_reference(u, f)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_krum_parameter_validation():
@@ -214,6 +235,30 @@ def test_translation_equivariance(X, data):
     c = data.draw(hnp.arrays(np.float64, X.shape[1], elements=st.floats(-1e3, 1e3)))
     for rule in (aggregation.coordinate_median, lambda u: aggregation.trimmed_mean(u, 0.2)):
         assert np.allclose(rule(mk(list(X + c))), rule(mk(list(X))) + c)
+
+
+@st.composite
+def rows_with_duplicates(draw):
+    """(n, d) arrays, n in [1, 40], whose rows repeat a few drawn rows.
+
+    Entries mix signed zeros, +-1e300 (a middle pair can overflow to inf) and
+    ordinary floats.
+    """
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, -0.0, 1e300, -1e300, 1.0, -1.0]) | st.floats(-1e300, 1e300)
+    distinct = draw(hnp.arrays(np.float64, (draw(st.integers(1, n)), d), elements=values))
+    picks = draw(hnp.arrays(np.int64, n, elements=st.integers(0, len(distinct) - 1)))
+    return distinct[picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_with_duplicates())
+def test_median_equals_numpy_median_bitwise(X):
+    with np.errstate(over="ignore"):
+        got = aggregation.coordinate_median(mk(list(X)))
+        want = np.median(X, axis=0)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_median_breakdown_against_minority_outliers():

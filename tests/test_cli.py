@@ -132,6 +132,41 @@ def test_run_unknown_key_rejected(tmp_path):
             "need 2400 samples for the shard plan, have 90",
             id="blobs_shard_plan_too_large",
         ),
+        # Sizes below 1 used to fail only at run time, after --out existed.
+        pytest.param(
+            {"model": {"kind": "mlp", "hidden": 0}}, "hidden must be >= 1", id="mlp_hidden_0"
+        ),
+        pytest.param(
+            {"partition": {"scheme": "noniid_shards", "shard_size": 0}},
+            "shards_per_client and shard_size must be >= 1",
+            id="shard_size_0",
+        ),
+        pytest.param(
+            {"partition": {"scheme": "noniid_shards", "shards_per_client": 0}},
+            "shards_per_client and shard_size must be >= 1",
+            id="shards_per_client_0",
+        ),
+        pytest.param({"data": {"kind": "blobs", "dim": 0}}, "dim must be >= 1", id="blobs_dim_0"),
+        pytest.param(
+            {"data": {"kind": "blobs", "samples_per_class": 0}},
+            "samples_per_class and test_samples_per_class must be >= 1",
+            id="blobs_samples_0",
+        ),
+        pytest.param(
+            {"data": {"kind": "blobs", "test_samples_per_class": 0}},
+            "samples_per_class and test_samples_per_class must be >= 1",
+            id="blobs_test_samples_0",
+        ),
+        pytest.param(
+            {"data": {"kind": "blobs", "spread": -1.0}},
+            "spread must be nonnegative",
+            id="blobs_spread_negative",
+        ),
+        pytest.param(
+            {"data": {"kind": "blobs", "n_classes": 1}},
+            "n_classes must be >= 2",
+            id="blobs_one_class",
+        ),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, overrides, message):
