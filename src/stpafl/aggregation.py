@@ -51,9 +51,10 @@ def fed_avg(updates: list[ClientUpdate]) -> np.ndarray:
 def coordinate_median(updates: list[ClientUpdate]) -> np.ndarray:
     """Per-coordinate median; even counts average the two middle values.
 
-    One full sort, then the mean of the middle one or two rows: the same
+    One full sort, then the mean of the middle one or two rows. That is the
     averaging np.median does, so results match it bit for bit (signed zeros
-    included) on finite input, at about a third of its cost here.
+    included) on finite input; at roster sizes the sort is cheaper than
+    np.median's partition.
     """
     X = _stack(updates)
     n = X.shape[0]
@@ -81,8 +82,8 @@ def krum_scores(updates: list[ClientUpdate], f: int) -> np.ndarray:
     if n - f - 2 < 1:
         raise ValueError(f"krum needs n - f - 2 >= 1, got n={n}, f={f}")
     D = np.zeros((n, n))
-    # One buffer for every row block of squared differences, so a round
-    # allocates (n - 1) x d once instead of twice per row.
+    # One buffer holds every row block of squared differences, so the loop
+    # allocates nothing roster-sized per row.
     buf = np.empty((n - 1, d))
     for k in range(n - 1):
         diff = buf[: n - 1 - k]

@@ -16,10 +16,6 @@ def cross_entropy(model, params, dataset):
     return float(-logp[np.arange(len(dataset)), dataset.labels].mean())
 
 
-def grad(model, params, dataset):
-    return model.gradient(params, dataset.features, dataset.labels)
-
-
 def fd_gradient(model, params, dataset, h=1e-5):
     """Central finite differences on the mean cross-entropy loss."""
     g = np.empty_like(params)
@@ -94,7 +90,7 @@ def test_linear_gradient_hand_case():
     model = Model(3, 2)
     x = np.array([0.4, -1.0, 2.0])
     ds = LabeledDataset(x[None, :], np.array([0]), 2)
-    g = grad(model, np.zeros(model.dim), ds)
+    g = model.gradient(np.zeros(model.dim), ds.features, ds.labels)
     dW, db = model.unpack(g)
     assert np.allclose(dW[0], -0.5 * x)
     assert np.allclose(dW[1], 0.5 * x)
@@ -105,7 +101,7 @@ def test_gradient_zero_at_confident_optimum():
     model = Model(1, 2)
     ds = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
     p = model.pack(np.array([[60.0], [-60.0]]), np.zeros(2))
-    assert np.linalg.norm(grad(model, p, ds)) < 1e-10
+    assert np.linalg.norm(model.gradient(p, ds.features, ds.labels)) < 1e-10
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
@@ -115,7 +111,7 @@ def test_gradient_matches_finite_differences(kind):
     for _ in range(5):
         ds = random_dataset(rng, 12, 4, 3)
         p = rng.standard_normal(model.dim) * 0.5
-        g = grad(model, p, ds)
+        g = model.gradient(p, ds.features, ds.labels)
         fd = fd_gradient(model, p, ds)
         rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-30)
         assert rel < 1e-6
@@ -131,7 +127,8 @@ def test_two_hidden_layers_gradient_and_width():
     ds = random_dataset(rng, 12, 4, 3)
     p = rng.standard_normal(model.dim) * 0.5
     fd = fd_gradient(model, p, ds)
-    assert np.linalg.norm(grad(model, p, ds) - fd) / np.linalg.norm(fd) < 1e-6
+    g = model.gradient(p, ds.features, ds.labels)
+    assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
     assert np.array_equal(model.pack(*model.unpack(p)), p)
 
 
