@@ -83,7 +83,7 @@ def krum_scores(updates: list[ClientUpdate], f: int) -> np.ndarray:
         raise ValueError(f"krum needs n - f - 2 >= 1, got n={n}, f={f}")
     D = np.zeros((n, n))
     # One buffer holds every row block of squared differences, so the loop
-    # allocates nothing roster-sized per row.
+    # allocates no (n - 1) x d array per row.
     buf = np.empty((n - 1, d))
     for k in range(n - 1):
         diff = buf[: n - 1 - k]
