@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .simulation import ScenarioConfig, iter_experiment, run_experiment
+from .simulation import BlobsDataConfig, ScenarioConfig, iter_experiment, run_experiment
 
 CSV_COLUMNS = (
     "round",
@@ -172,11 +172,17 @@ def cmd_sweep(args) -> int:
 def cmd_gen_data(args) -> int:
     if args.kind != "blobs":
         raise ConfigError(f"unknown dataset kind: {args.kind}")
-    if args.samples_per_class < 1:
-        raise ConfigError("samples-per-class must be >= 1")
-    dataset = data.generate_blobs(
-        args.classes, args.dim, args.samples_per_class, args.spread, args.seed
+    dc = from_dict(
+        BlobsDataConfig,
+        {
+            "n_classes": args.classes,
+            "dim": args.dim,
+            "samples_per_class": args.samples_per_class,
+            "spread": args.spread,
+        },
+        "gen-data",
     )
+    dataset = data.generate_blobs(dc.n_classes, dc.dim, dc.samples_per_class, dc.spread, args.seed)
     data.save_csv(dataset, args.out)
     return 0
 

@@ -136,16 +136,9 @@ def generate_blobs(
     Centroids are seed-dependent signed hypercube corners (6 * {-1,+1}^dim
     plus a small jitter), which keeps them pairwise separated, gives the
     features near-zero mean, and spreads signal across every coordinate.
-    Features are normalized into [-1, 1] afterwards.
+    Features are normalized into [-1, 1] afterwards. The sizes and spread
+    are those of a BlobsDataConfig, which checks their ranges.
     """
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if samples_per_class < 1:
-        raise ValueError("samples_per_class must be >= 1")
-    if spread < 0:
-        raise ValueError("spread must be nonnegative")
     rng = np.random.default_rng(seed)
     corners = rng.choice([-1.0, 1.0], size=(n_classes, dim))
     # repeated corners (possible when n_classes > 2^dim) move to an outer shell

@@ -8,7 +8,7 @@ local training cannot change the aggregate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from . import attacks, data, models
 from .aggregation import AggregationRule, apply_rule
 from .attacks import AttackSpec
 from .models import TrainConfig
-from .stpa import MomentumState, StpaConfig, stpa_round
+from .stpa import StepOutcome, StpaConfig, stpa_round
 from .vectors import ClientUpdate
 
 
@@ -115,6 +115,8 @@ class ScenarioConfig:
             raise ValueError("cross_silo requires clients_per_round == n_clients")
         if self.rounds < 0:
             raise ValueError("rounds must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         # Krum scores each update by its n - f - 2 nearest peers (Blanchard et
         # al., 2017). Under stpa the inner rule sees only the kept cluster,
         # which can shrink to a bare majority of the roster.
@@ -151,12 +153,12 @@ class RoundLog:
 @dataclass
 class ExperimentState:
     global_model: np.ndarray
-    momentum: MomentumState
+    momentum: np.ndarray
     round_index: int
-    select_rng: np.random.Generator = field(repr=False, default=None)
+    select_rng: np.random.Generator
 
 
-def select_clients(round_index: int, cfg: ScenarioConfig, rng: np.random.Generator) -> list[int]:
+def select_clients(cfg: ScenarioConfig, rng: np.random.Generator) -> list[int]:
     """Full roster in cross-silo; sorted uniform sample in cross-device."""
     if cfg.scenario == "cross_silo":
         return list(range(cfg.n_clients))
@@ -232,10 +234,11 @@ def run_round(
     model,
     pool: data.ClientPool,
     test_set: data.LabeledDataset,
-) -> tuple[ExperimentState, RoundLog]:
+) -> RoundLog:
+    """Play round state.round_index, advance state in place and log the round."""
     w_t = state.global_model
     r = state.round_index
-    selected = select_clients(r, cfg, state.select_rng)
+    selected = select_clients(cfg, state.select_rng)
     # selected is ascending, so the malicious clients lead it
     mal_ids = [cid for cid in selected if cid < cfg.n_malicious]
     skip = len(mal_ids) if cfg.attack.kind in attacks.MODEL_ATTACKS else 0
@@ -248,34 +251,23 @@ def run_round(
         ClientUpdate(r, slot, submitted[slot], pool.counts[cid])
         for slot, cid in enumerate(selected)
     ]
-
-    alpha = None
-    eta = None
-    discarded = False
     if cfg.rule.kind == "stpa":
         outcome, state.momentum = stpa_round(w_t, updates, state.momentum, cfg.stpa)
-        new_model = outcome.new_model
-        benign_kept = outcome.benign_count
-        alpha = outcome.alpha
-        eta = outcome.eta
-        discarded = outcome.discarded
     else:
-        new_model = apply_rule(cfg.rule, updates)
-        benign_kept = len(updates)
+        outcome = StepOutcome(apply_rule(cfg.rule, updates), None, None, False, len(updates))
 
-    log = RoundLog(
+    state.global_model = outcome.new_model
+    state.round_index = r + 1
+    return RoundLog(
         round=r,
         selected=selected,
         malicious_selected=len(mal_ids),
-        benign_kept=benign_kept,
-        alpha=alpha,
-        eta=eta,
-        discarded=discarded,
-        test_error_pct=models.evaluate_error(model, new_model, test_set),
+        benign_kept=outcome.benign_count,
+        alpha=outcome.alpha,
+        eta=outcome.eta,
+        discarded=outcome.discarded,
+        test_error_pct=models.evaluate_error(model, outcome.new_model, test_set),
     )
-    state.global_model = new_model
-    state.round_index = r + 1
-    return state, log
 
 
 def iter_experiment(cfg: ScenarioConfig):
@@ -288,13 +280,12 @@ def iter_experiment(cfg: ScenarioConfig):
     init_rng = np.random.default_rng(derive_seed(cfg.seed, 0))
     state = ExperimentState(
         global_model=model.init_params(init_rng),
-        momentum=MomentumState.zeros(model.dim),
+        momentum=np.zeros(model.dim),
         round_index=0,
         select_rng=np.random.default_rng(derive_seed(cfg.seed, 1)),
     )
     for _ in range(cfg.rounds):
-        state, log = run_round(state, cfg, model, pool, test)
-        yield log
+        yield run_round(state, cfg, model, pool, test)
 
 
 def run_experiment(cfg: ScenarioConfig) -> list[RoundLog]:

@@ -4,17 +4,26 @@ Each round: build the affinity matrix of pseudo-gradient cosine similarities,
 split the roster in two with complete-linkage agglomeration, keep the larger
 side when the clusters are clearly separated, aggregate the kept updates, and
 gate the resulting step with a momentum-based speculation of the expected
-descent direction. Cluster structure is never carried across rounds.
+descent direction. Cluster structure is never carried across rounds. The
+momentum speculation v is a plain array that the caller carries between rounds.
+
+Cosine similarity follows a zero-norm convention: a vector with norm below
+ZERO_NORM_EPS carries no directional information and yields similarity 0, so
+the alpha <= 0 gate discards such rounds instead of propagating NaN.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregation import AggregationRule, apply_rule
-from .vectors import ZERO_NORM_EPS, ClientUpdate, cosine_similarity
+from .vectors import ClientUpdate
+
+# Norms below this are treated as zero for cosine similarity.
+ZERO_NORM_EPS = 1e-12
 
 DEFAULT_INNER_RULE = AggregationRule("coordinate_median")
 
@@ -38,15 +47,6 @@ class StpaConfig:
 
 
 @dataclass(frozen=True)
-class MomentumState:
-    v: np.ndarray
-
-    @classmethod
-    def zeros(cls, dim: int) -> "MomentumState":
-        return cls(np.zeros(dim))
-
-
-@dataclass(frozen=True)
 class ClusterPartition:
     c1: tuple
     c2: tuple
@@ -56,11 +56,27 @@ class ClusterPartition:
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """A round's step; alpha and eta are None under a rule other than stpa."""
+
     new_model: np.ndarray
-    alpha: float
-    eta: float
+    alpha: float | None
+    eta: float | None
     discarded: bool
     benign_count: int
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of the angle between a and b, clamped to [-1, 1].
+
+    Returns 0.0 if either vector has norm below ZERO_NORM_EPS.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    na = math.sqrt(a @ a)
+    nb = math.sqrt(b @ b)
+    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
+        return 0.0
+    return min(max(float(a @ b) / (na * nb), -1.0), 1.0)
 
 
 # Up to this many slots, build_affinity makes one cosine_similarity call per
@@ -146,39 +162,41 @@ def partition_round(S: np.ndarray, s_t: float) -> ClusterPartition:
     return ClusterPartition(c1, c2, cross, split_decision(cross, c1, c2, s_t))
 
 
-def momentum_step(state: MomentumState, delta_w: np.ndarray, beta: float) -> MomentumState:
-    """v <- beta * v + (1 - beta) * delta_w."""
-    return MomentumState(beta * state.v + (1.0 - beta) * delta_w)
+def momentum_step(v: np.ndarray, delta_w: np.ndarray, beta: float) -> np.ndarray:
+    """v <- beta * v + (1 - beta) * delta_w, as a new array."""
+    return beta * v + (1.0 - beta) * delta_w
 
 
 def adaptive_update(
     w_t: np.ndarray,
-    state_after: MomentumState,
+    v: np.ndarray,
     delta_w: np.ndarray,
     eta0: float,
+    benign_count: int,
 ) -> StepOutcome:
     """Step w_t - eta0 * alpha * v, or discard the round when alpha <= 0.
 
     alpha is the cosine agreement between the round's aggregated
     pseudo-gradient and the momentum speculation v (already updated).
     """
-    alpha = cosine_similarity(delta_w, state_after.v)
+    alpha = cosine_similarity(delta_w, v)
     if alpha <= 0.0:
-        return StepOutcome(w_t, alpha, 0.0, True, 0)
+        return StepOutcome(w_t, alpha, 0.0, True, benign_count)
     eta = eta0 * alpha
-    return StepOutcome(w_t - eta * state_after.v, alpha, eta, False, 0)
+    return StepOutcome(w_t - eta * v, alpha, eta, False, benign_count)
 
 
 def stpa_round(
     w_t: np.ndarray,
     updates: list[ClientUpdate],
-    state: MomentumState,
+    v: np.ndarray,
     cfg: StpaConfig,
-) -> tuple[StepOutcome, MomentumState]:
+) -> tuple[StepOutcome, np.ndarray]:
     """One full round: spatial filter, inner aggregation, temporal gate.
 
-    The returned momentum state carries the updated v even when the step is
-    discarded.
+    Returns the outcome and the updated v, which advances even when the step
+    is discarded. w_t, the submitted models and the incoming v are not
+    modified.
     """
     if not updates:
         raise ValueError("empty update list")
@@ -191,6 +209,5 @@ def stpa_round(
     kept = [updates[k] for k in benign]
     aggregated = apply_rule(cfg.inner_rule, kept)
     delta_w = w_t - aggregated
-    new_state = momentum_step(state, delta_w, cfg.beta)
-    outcome = adaptive_update(w_t, new_state, delta_w, cfg.eta0)
-    return replace(outcome, benign_count=len(benign)), new_state
+    v = momentum_step(v, delta_w, cfg.beta)
+    return adaptive_update(w_t, v, delta_w, cfg.eta0, len(benign)), v

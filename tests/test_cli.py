@@ -167,6 +167,7 @@ def test_run_unknown_key_rejected(tmp_path):
             "n_classes must be >= 2",
             id="blobs_one_class",
         ),
+        pytest.param({"seed": -1}, "seed must be nonnegative", id="seed_negative"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, overrides, message):
@@ -174,6 +175,19 @@ def test_bad_config_exits_2_before_output(tmp_path, capsys, overrides, message):
     out = tmp_path / "o"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "env, flags", [({}, ["--seed", "-5"]), ({"BB_SEED": "-1"}, [])], ids=["seed_flag", "seed_env"]
+)
+def test_negative_seed_override_exits_2_before_output(tmp_path, capsys, monkeypatch, env, flags):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    cfg_path = write_config(tmp_path, base_config())
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg_path), *flags, "--out", str(out)]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -355,6 +369,24 @@ def test_gen_data_same_seed_same_bytes(tmp_path):
 def test_gen_data_zero_samples_exits_2(tmp_path):
     rc = cli.main(["gen-data", "--samples-per-class", "0", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--samples-per-class", "0"], "samples_per_class and test_samples_per_class must be >= 1"),
+        (["--classes", "1"], "n_classes must be >= 2"),
+        (["--dim", "0"], "dim must be >= 1"),
+        (["--spread", "-1"], "spread must be nonnegative"),
+        (["--spread", "nan"], "gen-data.spread must be finite, got nan"),
+    ],
+    ids=["samples_0", "one_class", "dim_0", "spread_negative", "spread_nan"],
+)
+def test_gen_data_bad_args_exit_2_before_output(tmp_path, capsys, args, message):
+    out = tmp_path / "x.csv"
+    assert cli.main(["gen-data", *args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_data_unknown_kind_exits_2(tmp_path):

@@ -53,7 +53,7 @@ def test_select_clients_cross_silo_full_roster():
     cfg = small_cfg()
     rng = np.random.default_rng(0)
     for r in range(3):
-        assert select_clients(r, cfg, rng) == list(range(6))
+        assert select_clients(cfg, rng) == list(range(6))
 
 
 def test_select_clients_cross_device():
@@ -67,7 +67,7 @@ def test_select_clients_cross_device():
         data=SMALL_DATA,
     )
     rng = np.random.default_rng(1)
-    sel = select_clients(0, cfg, rng)
+    sel = select_clients(cfg, rng)
     assert len(sel) == len(set(sel)) == 20
     assert sel == sorted(sel)
     assert all(0 <= c < 100 for c in sel)
@@ -81,7 +81,7 @@ def test_select_clients_cross_device():
         seed=0,
         data=SMALL_DATA,
     )
-    assert select_clients(0, cfg_all, np.random.default_rng(2)) == list(range(10))
+    assert select_clients(cfg_all, np.random.default_rng(2)) == list(range(10))
 
 
 def test_selection_hypergeometric_mean():
@@ -96,7 +96,7 @@ def test_selection_hypergeometric_mean():
     )
     rng = np.random.default_rng(derive_seed(0, 1))
     counts = [
-        sum(1 for c in select_clients(r, cfg, rng) if c < 34) for r in range(1000)
+        sum(1 for c in select_clients(cfg, rng) if c < 34) for _ in range(1000)
     ]
     assert abs(np.mean(counts) - 6.8) < 0.2
 
@@ -135,11 +135,11 @@ def test_single_client_fed_avg_identity():
     )
     state = simulation.ExperimentState(
         global_model=w0,
-        momentum=simulation.MomentumState.zeros(model.dim),
+        momentum=np.zeros(model.dim),
         round_index=0,
         select_rng=np.random.default_rng(derive_seed(3, 1)),
     )
-    state, log = simulation.run_round(state, cfg, model, pool, test)
+    simulation.run_round(state, cfg, model, pool, test)
     assert np.array_equal(state.global_model, expected)
 
 

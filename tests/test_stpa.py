@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from stpafl import stpa
 from stpafl.aggregation import AggregationRule
-from stpafl.stpa import MomentumState, StpaConfig
-from stpafl.vectors import ClientUpdate, cosine_similarity
+from stpafl.stpa import StpaConfig, cosine_similarity
+from stpafl.vectors import ClientUpdate
 
 
 def mk(w_t, deltas):
@@ -330,23 +330,23 @@ def test_split_equal_sizes_keep_union():
 
 def test_momentum_first_round():
     g = np.array([2.0, -4.0])
-    out = stpa.momentum_step(MomentumState.zeros(2), g, 0.5)
-    assert np.allclose(out.v, 0.5 * g)
+    out = stpa.momentum_step(np.zeros(2), g, 0.5)
+    assert np.allclose(out, 0.5 * g)
 
 
 def test_momentum_no_memory():
     g = np.array([1.0, 1.0])
-    state = MomentumState(np.array([9.0, 9.0]))
-    assert np.allclose(stpa.momentum_step(state, g, 0.0).v, g)
+    state = np.array([9.0, 9.0])
+    assert np.allclose(stpa.momentum_step(state, g, 0.0), g)
 
 
 @pytest.mark.parametrize("T", range(1, 11))
 def test_momentum_geometric_closed_form(T):
     g = np.array([3.0, -1.0, 0.5])
-    state = MomentumState.zeros(3)
+    state = np.zeros(3)
     for _ in range(T):
         state = stpa.momentum_step(state, g, 0.5)
-    assert np.allclose(state.v, (1.0 - 0.5**T) * g, rtol=0, atol=1e-12)
+    assert np.allclose(state, (1.0 - 0.5**T) * g, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- adaptive update
@@ -354,7 +354,7 @@ def test_momentum_geometric_closed_form(T):
 def test_adaptive_full_step_when_parallel():
     w_t = np.array([1.0, 1.0])
     v = np.array([0.2, -0.4])
-    out = stpa.adaptive_update(w_t, MomentumState(v), 3.0 * v, 1.0)
+    out = stpa.adaptive_update(w_t, v, 3.0 * v, 1.0, 1)
     assert out.alpha == pytest.approx(1.0)
     assert not out.discarded
     assert np.allclose(out.new_model, w_t - v)
@@ -362,9 +362,7 @@ def test_adaptive_full_step_when_parallel():
 
 def test_adaptive_discard_when_orthogonal():
     w_t = np.array([1.0, 1.0])
-    out = stpa.adaptive_update(
-        w_t, MomentumState(np.array([0.0, 1.0])), np.array([1.0, 0.0]), 1.0
-    )
+    out = stpa.adaptive_update(w_t, np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1.0, 1)
     assert out.alpha == 0.0
     assert out.discarded
     assert np.array_equal(out.new_model, w_t)
@@ -372,7 +370,7 @@ def test_adaptive_discard_when_orthogonal():
 
 def test_adaptive_discard_on_zero_delta():
     w_t = np.array([2.0, 2.0])
-    out = stpa.adaptive_update(w_t, MomentumState(np.ones(2)), np.zeros(2), 1.0)
+    out = stpa.adaptive_update(w_t, np.ones(2), np.zeros(2), 1.0, 1)
     assert out.alpha == 0.0 and out.discarded
 
 
@@ -384,11 +382,11 @@ def test_round_identical_models_hand_composed():
     w_t = np.array([2.0, 0.0, -2.0])
     u = np.array([1.0, 1.0, 1.0])
     updates = [ClientUpdate(0, i, u, 1) for i in range(5)]
-    outcome, state = stpa.stpa_round(w_t, updates, MomentumState.zeros(3), StpaConfig())
+    outcome, state = stpa.stpa_round(w_t, updates, np.zeros(3), StpaConfig())
     assert outcome.benign_count == 5
     assert outcome.alpha == pytest.approx(1.0)
     assert np.allclose(outcome.new_model, w_t - 0.5 * (w_t - u))
-    assert np.allclose(state.v, 0.5 * (w_t - u))
+    assert np.allclose(state, 0.5 * (w_t - u))
 
 
 def test_round_discard_advances_momentum():
@@ -396,20 +394,38 @@ def test_round_discard_advances_momentum():
     w_t = np.zeros(2)
     u = np.array([-1.0, -1.0])  # delta_w = w_t - u = (1, 1)
     delta = w_t - u
-    prior = MomentumState(-4.0 * delta)
+    prior = -4.0 * delta
     updates = [ClientUpdate(0, i, u, 1) for i in range(3)]
     outcome, state = stpa.stpa_round(w_t, updates, prior, StpaConfig())
     assert outcome.discarded
     assert outcome.alpha == pytest.approx(-1.0)
     assert np.array_equal(outcome.new_model, w_t)
     # v = 0.5 * (-4 delta) + 0.5 * delta = -1.5 delta, carried forward
-    assert np.allclose(state.v, -1.5 * delta)
+    assert np.allclose(state, -1.5 * delta)
+
+
+@pytest.mark.parametrize("prior_scale, discarded", [(1.0, False), (-4.0, True)])
+def test_round_leaves_inputs_unchanged(prior_scale, discarded):
+    # the prior v sets the gate: along the median step it accepts, against
+    # it it discards
+    rng = np.random.default_rng(23)
+    w_t = rng.standard_normal(6)
+    direction = rng.standard_normal(6)
+    deltas = [direction + 0.1 * rng.standard_normal(6) for _ in range(5)]
+    deltas += [-direction + 0.1 * rng.standard_normal(6) for _ in range(3)]
+    updates = mk(w_t, deltas)
+    v = prior_scale * direction
+    before = [a.tobytes() for a in (w_t, v, *(u.model for u in updates))]
+    outcome, new_v = stpa.stpa_round(w_t, updates, v, StpaConfig())
+    assert outcome.discarded is discarded
+    assert new_v is not v
+    assert [a.tobytes() for a in (w_t, v, *(u.model for u in updates))] == before
 
 
 def test_round_single_update():
     w_t = np.array([1.0, 0.0])
     u = ClientUpdate(0, 0, np.array([0.0, 0.0]), 1)
-    outcome, _ = stpa.stpa_round(w_t, [u], MomentumState.zeros(2), StpaConfig())
+    outcome, _ = stpa.stpa_round(w_t, [u], np.zeros(2), StpaConfig())
     assert outcome.benign_count == 1
     assert np.allclose(outcome.new_model, w_t - 0.5 * (w_t - u.model))
 
@@ -463,7 +479,7 @@ def test_round_reduces_to_inner_rule_direction():
     deltas = [np.array([1.0, 0.0]), np.array([1.1, 0.1]), np.array([0.9, -0.1])]
     updates = mk(w_t, deltas)
     cfg = StpaConfig(beta=0.0, eta0=1.0)
-    outcome, _ = stpa.stpa_round(w_t, updates, MomentumState.zeros(2), cfg)
+    outcome, _ = stpa.stpa_round(w_t, updates, np.zeros(2), cfg)
     med = np.median(np.stack(deltas), axis=0)
     assert outcome.alpha == pytest.approx(1.0)
     assert np.allclose(outcome.new_model, w_t - med)
