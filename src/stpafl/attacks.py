@@ -1,9 +1,11 @@
-"""Faulty and malicious client behaviors.
+"""Faulty and malicious client behaviors: data-level and model-level attacks.
 
-Data-level attacks (noisy, label_flip) corrupt a client's dataset once at
-setup. Model-level attacks replace the submitted model: byzantine_gaussian
-draws it at random, while the omniscient attacks (ipm, alie) read the round's
-benign pseudo-gradients and are converted to models as w_t - g.
+Data-level attacks (noisy, label_flip) corrupt the malicious clients' rows
+of the stacked ClientPool once, in place, at setup. Model-level attacks
+replace the submitted models each round: byzantine_gaussian draws each one at
+random, while the omniscient attacks (ipm, alie) read the round's honest
+pseudo-gradients and compute one g, which every malicious client submits as
+w_t - g.
 """
 
 from __future__ import annotations
@@ -12,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data
+from .data import ClientPool
 
 ATTACK_KINDS = ("none", "byzantine_gaussian", "noisy", "label_flip", "ipm", "alie")
 
-DATA_ATTACKS = ("noisy", "label_flip")
-OMNISCIENT_ATTACKS = ("ipm", "alie")
-MODEL_ATTACKS = ("byzantine_gaussian",) + OMNISCIENT_ATTACKS
+MODEL_ATTACKS = ("byzantine_gaussian", "ipm", "alie")
 
 
 @dataclass(frozen=True)
@@ -49,34 +49,21 @@ class AttackSpec:
 
 def gaussian_byzantine_update(w_t: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """A submitted 'model' drawn i.i.d. N(0, sigma^2) per coordinate."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, sigma, size=w_t.shape) if sigma > 0 else np.zeros_like(w_t)
+    return np.random.default_rng(seed).normal(0.0, sigma, size=w_t.shape)
 
 
-def ipm_updates(benign_grads, epsilon: float, count: int) -> np.ndarray:
-    """count identical rows of -epsilon * mean(benign gradients).
-
-    benign_grads is a (n, d) array or a list of n vectors.
-    """
-    if len(benign_grads) == 0:
+def ipm_updates(G: np.ndarray, epsilon: float) -> np.ndarray:
+    """The IPM pseudo-gradient -epsilon * mean(G) of the (n, d) honest ones G."""
+    if len(G) == 0:
         raise ValueError("ipm needs a nonempty benign gradient set")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    g = -epsilon * np.asarray(benign_grads).mean(axis=0)
-    return np.repeat(g[None, :], count, axis=0)
+    return -epsilon * G.mean(axis=0)
 
 
-def alie_updates(benign_grads, epsilon: float, count: int) -> np.ndarray:
-    """count rows of mean - epsilon * std (population, per coordinate); input as ipm_updates."""
-    if len(benign_grads) < 2:
+def alie_updates(G: np.ndarray, epsilon: float) -> np.ndarray:
+    """The ALIE pseudo-gradient mean(G) - epsilon * std(G) (population std) per coordinate."""
+    if len(G) < 2:
         raise ValueError("alie needs at least 2 benign gradients")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    G = np.asarray(benign_grads)
-    g = G.mean(axis=0) - epsilon * G.std(axis=0)
-    return np.repeat(g[None, :], count, axis=0)
+    return G.mean(axis=0) - epsilon * G.std(axis=0)
 
 
 def submissions(spec: AttackSpec, w_t, rows: np.ndarray, mal_ids: list, seed_of) -> np.ndarray:
@@ -84,9 +71,9 @@ def submissions(spec: AttackSpec, w_t, rows: np.ndarray, mal_ids: list, seed_of)
 
     rows holds one model per selected client in ascending id order. Under a
     model-level attack the malicious mal_ids (the lowest ids) lead it, and the
-    rows after them hold the honest clients' local models, which IPM and ALIE
-    read; otherwise every selected client trained and rows is left as is.
-    seed_of(cid) seeds a Gaussian replacement.
+    rows after them hold the honest clients' local models, from which IPM and
+    ALIE compute the one w_t - g all malicious clients send. Otherwise rows is
+    left as is. seed_of(cid) seeds a Gaussian replacement.
     """
     m = len(mal_ids)
     if spec.kind not in MODEL_ATTACKS or m == 0:
@@ -95,17 +82,25 @@ def submissions(spec: AttackSpec, w_t, rows: np.ndarray, mal_ids: list, seed_of)
         for k, cid in enumerate(mal_ids):
             rows[k] = gaussian_byzantine_update(w_t, spec.sigma, seed_of(cid))
     elif spec.kind == "ipm":
-        np.subtract(w_t, ipm_updates(w_t - rows[m:], spec.epsilon, m), out=rows[:m])
+        rows[:m] = w_t - ipm_updates(w_t - rows[m:], spec.epsilon)
     else:
-        np.subtract(w_t, alie_updates(w_t - rows[m:], spec.epsilon, m), out=rows[:m])
+        rows[:m] = w_t - alie_updates(w_t - rows[m:], spec.epsilon)
     return rows
 
 
-def apply_data_attack(
-    spec: AttackSpec, dataset: data.LabeledDataset, seed: int = 0
-) -> data.LabeledDataset:
-    if spec.kind == "noisy":
-        return data.apply_noise(dataset, spec.low, spec.high, spec.clip_lo, spec.clip_hi, seed)
-    if spec.kind == "label_flip":
-        return data.flip_labels(dataset, spec.target)
-    raise ValueError(f"{spec.kind} is not a data-level attack")
+def corrupt_pool(spec: AttackSpec, pool: ClientPool, n_malicious: int, n_classes: int, seed_of):
+    """Corrupt the rows of clients [0, n_malicious) in pool's stacks, in place.
+
+    noisy: x <- clip(x + u, clip_lo, clip_hi), u ~ Uniform(low, high) per element
+    drawn from seed_of(cid); label_flip: every label becomes target; others: nothing.
+    """
+    if spec.kind == "label_flip" and spec.target >= n_classes:
+        raise ValueError(f"target {spec.target} out of range [0, {n_classes})")
+    for stack in pool.stacks:
+        for k in np.flatnonzero(stack.ids < n_malicious):
+            if spec.kind == "noisy":
+                rng = np.random.default_rng(seed_of(int(stack.ids[k])))
+                u = rng.uniform(spec.low, spec.high, size=stack.features[k].shape)
+                np.clip(stack.features[k] + u, spec.clip_lo, spec.clip_hi, out=stack.features[k])
+            elif spec.kind == "label_flip":
+                stack.labels[k] = spec.target

@@ -148,7 +148,10 @@ def final_stats(logs, last_n: int = 10) -> tuple[float, float]:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.seed)
-    fractions = [float(x) for x in args.fractions.split(",") if x.strip()]
+    try:
+        fractions = [float(x) for x in args.fractions.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad --fractions: {exc}") from exc
     if not fractions:
         raise ConfigError("empty fraction list")
     if any(not 0.0 < f < 0.5 for f in fractions):
@@ -172,6 +175,8 @@ def cmd_sweep(args) -> int:
 def cmd_gen_data(args) -> int:
     if args.kind != "blobs":
         raise ConfigError(f"unknown dataset kind: {args.kind}")
+    if args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     dc = from_dict(
         BlobsDataConfig,
         {

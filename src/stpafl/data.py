@@ -1,4 +1,6 @@
-"""Dataset generation, IDX loading, normalization, partitioning, corruption.
+"""Dataset generation, IDX/CSV loading, normalization, partitioning, stacking.
+
+Corruption by data-level attacks lives in attacks.py.
 
 All stochastic operations take an explicit integer seed and use numpy's
 default PCG64 generator, so every operation is bit-exact reproducible.
@@ -87,24 +89,14 @@ class ClientPool:
     counts: list  # samples per client, indexed by client id
 
     @classmethod
-    def from_partition(cls, dataset: LabeledDataset, assignments: list, replaced: dict):
-        """Stack each client's rows of dataset.
-
-        replaced maps a client id to a same-sized dataset it holds instead.
-        """
+    def from_partition(cls, dataset: LabeledDataset, assignments: list):
+        """Stack each client's rows of dataset."""
         counts = [len(idx) for idx in assignments]
         stacks = []
         for n in sorted(set(counts)):
-            ids = [cid for cid, c in enumerate(counts) if c == n]
+            ids = np.array([cid for cid, c in enumerate(counts) if c == n], dtype=np.int64)
             rows = np.stack([assignments[cid] for cid in ids])
-            stack = ClientStack(
-                np.array(ids, dtype=np.int64), dataset.features[rows], dataset.labels[rows]
-            )
-            for k, cid in enumerate(ids):
-                if cid in replaced:
-                    stack.features[k] = replaced[cid].features
-                    stack.labels[k] = replaced[cid].labels
-            stacks.append(stack)
+            stacks.append(ClientStack(ids, dataset.features[rows], dataset.labels[rows]))
         return cls(stacks, counts)
 
 
@@ -236,33 +228,6 @@ def partition_noniid_shards(
         picked = shard_order[k * shards_per_client : (k + 1) * shards_per_client]
         assignments.append(np.concatenate([shards[s] for s in picked]))
     return assignments
-
-
-def apply_noise(
-    dataset: LabeledDataset,
-    low: float,
-    high: float,
-    clip_lo: float,
-    clip_hi: float,
-    seed: int,
-) -> LabeledDataset:
-    """x <- clip(x + u, clip_lo, clip_hi), u ~ Uniform(low, high) per element."""
-    if high < low:
-        raise ValueError("high must be >= low")
-    if clip_hi <= clip_lo:
-        raise ValueError("clip_hi must exceed clip_lo")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(low, high, size=dataset.features.shape)
-    noisy = np.clip(dataset.features + u, clip_lo, clip_hi)
-    return LabeledDataset(noisy, dataset.labels.copy(), dataset.n_classes)
-
-
-def flip_labels(dataset: LabeledDataset, target: int) -> LabeledDataset:
-    """Set every label to target; features are untouched."""
-    if not 0 <= target < dataset.n_classes:
-        raise ValueError(f"target {target} out of range [0, {dataset.n_classes})")
-    labels = np.full_like(dataset.labels, target)
-    return LabeledDataset(dataset.features.copy(), labels, dataset.n_classes)
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

@@ -128,14 +128,18 @@ class ScenarioConfig:
             raise ValueError(
                 f"krum needs 1 <= m <= n - f - 2, got m={krum.m}, n={n}, f={krum.f}"
             )
-        # idx/csv sizes are known only after loading; partition_noniid_shards
-        # checks those at run time.
-        part = self.partition
-        if self.data.kind == "blobs" and part.scheme == "noniid_shards":
-            needed = self.n_clients * part.shards_per_client * part.shard_size
-            have = self.data.n_classes * self.data.samples_per_class
+        # idx/csv sizes and classes are known only after loading and are
+        # checked at run time.
+        part, dc = self.partition, self.data
+        if dc.kind == "blobs":
+            have = dc.n_classes * dc.samples_per_class
+            needed, plan = self.n_clients, "iid"
+            if part.scheme == "noniid_shards":
+                needed, plan = needed * part.shards_per_client * part.shard_size, "shard"
             if needed > have:
-                raise ValueError(f"need {needed} samples for the shard plan, have {have}")
+                raise ValueError(f"need {needed} samples for the {plan} plan, have {have}")
+            if self.attack.kind == "label_flip" and self.attack.target >= dc.n_classes:
+                raise ValueError(f"target {self.attack.target} out of range [0, {dc.n_classes})")
 
 
 @dataclass
@@ -190,7 +194,7 @@ def build_data(cfg: ScenarioConfig) -> tuple[data.LabeledDataset, data.LabeledDa
 
 
 def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> data.ClientPool:
-    """Partition the training data, corrupt the malicious clients' shares, stack."""
+    """Partition the training data, stack it, corrupt the malicious clients' rows."""
     if cfg.partition.scheme == "iid":
         assignments = data.partition_iid(train, cfg.n_clients, derive_seed(cfg.seed, 2))
     else:
@@ -201,13 +205,10 @@ def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> da
             cfg.partition.shard_size,
             derive_seed(cfg.seed, 2),
         )
-    corrupted = {}
-    if cfg.attack.kind in attacks.DATA_ATTACKS:
-        for cid in range(cfg.n_malicious):
-            corrupted[cid] = attacks.apply_data_attack(
-                cfg.attack, train.subset(assignments[cid]), derive_seed(cfg.seed, 3, cid)
-            )
-    return data.ClientPool.from_partition(train, assignments, corrupted)
+    pool = data.ClientPool.from_partition(train, assignments)
+    seed_of = lambda cid: derive_seed(cfg.seed, 3, cid)  # noqa: E731
+    attacks.corrupt_pool(cfg.attack, pool, cfg.n_malicious, train.n_classes, seed_of)
+    return pool
 
 
 def train_clients(model, w_t, pool: data.ClientPool, ids, cfg: ScenarioConfig, r: int, out):

@@ -3,13 +3,18 @@ import pytest
 
 from stpafl import attacks
 from stpafl.attacks import AttackSpec
-from stpafl.data import LabeledDataset
+from stpafl.data import ClientPool, LabeledDataset
 
 
 def small_dataset():
     X = np.array([[0.2, -0.3], [0.5, 0.9]])
     y = np.array([1, 2])
     return LabeledDataset(X, y, 3)
+
+
+def one_client_pool(ds):
+    """ds as the rows of client 0, the one client of a pool."""
+    return ClientPool.from_partition(ds, [np.arange(len(ds))])
 
 
 def test_attack_spec_validation():
@@ -49,81 +54,110 @@ def test_gaussian_deterministic():
 
 def test_ipm_sign_flip():
     g = np.array([1.0, -2.0, 0.5])
-    out = attacks.ipm_updates([g], 1.0, 2)
-    assert len(out) == 2
-    assert np.array_equal(out[0], -g)
-    assert np.array_equal(out[1], -g)
+    out = attacks.ipm_updates(np.array([g]), 1.0)
+    assert np.array_equal(out, -g)
 
 
 def test_ipm_epsilon_zero():
-    out = attacks.ipm_updates([np.ones(3)], 0.0, 1)
-    assert np.array_equal(out[0], np.zeros(3))
+    out = attacks.ipm_updates(np.ones((1, 3)), 0.0)
+    assert np.array_equal(out, np.zeros(3))
 
 
 def test_ipm_negative_inner_product_with_mean():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        grads = [rng.standard_normal(6) for _ in range(5)]
-        mean = np.stack(grads).mean(axis=0)
-        (mal,) = attacks.ipm_updates(grads, 1.0, 1)
+        grads = np.stack([rng.standard_normal(6) for _ in range(5)])
+        mean = grads.mean(axis=0)
+        mal = attacks.ipm_updates(grads, 1.0)
         assert mal @ mean < 0
 
 
 def test_ipm_empty_benign_set():
     with pytest.raises(ValueError):
-        attacks.ipm_updates([], 1.0, 1)
+        attacks.ipm_updates(np.empty((0, 3)), 1.0)
 
 
 def test_alie_hand_arithmetic():
     # coords {1, 3}: mean 2, population std 1, so 2 - 1.5*1 = 0.5
-    out = attacks.alie_updates([np.array([1.0]), np.array([3.0])], 1.5, 3)
-    assert len(out) == 3
-    for g in out:
-        assert g[0] == pytest.approx(0.5)
+    out = attacks.alie_updates(np.array([[1.0], [3.0]]), 1.5)
+    assert out[0] == pytest.approx(0.5)
 
 
 def test_alie_zero_variance():
     g = np.array([2.0, -1.0])
-    (mal,) = attacks.alie_updates([g, g.copy()], 1.5, 1)
+    mal = attacks.alie_updates(np.stack([g, g.copy()]), 1.5)
     assert np.array_equal(mal, g)
 
 
 def test_alie_population_variance():
-    grads = [np.array([x]) for x in (0.0, 1.0, 2.0, 3.0)]
-    (mal,) = attacks.alie_updates(grads, 1.0, 1)
+    grads = np.array([[x] for x in (0.0, 1.0, 2.0, 3.0)])
+    mal = attacks.alie_updates(grads, 1.0)
     # population std of {0,1,2,3} = sqrt(5)/2, not the sample std
     assert mal[0] == pytest.approx(1.5 - np.sqrt(5.0) / 2.0)
 
 
 def test_alie_needs_two_gradients():
     with pytest.raises(ValueError):
-        attacks.alie_updates([np.ones(2)], 1.5, 1)
+        attacks.alie_updates(np.ones((1, 2)), 1.5)
 
 
 def test_omniscient_attacks_deterministic():
     rng = np.random.default_rng(9)
-    grads = [rng.standard_normal(4) for _ in range(6)]
-    assert np.array_equal(attacks.alie_updates(grads, 1.5, 2)[0], attacks.alie_updates(grads, 1.5, 2)[0])
-    assert np.array_equal(attacks.ipm_updates(grads, 1.0, 2)[0], attacks.ipm_updates(grads, 1.0, 2)[0])
+    grads = np.stack([rng.standard_normal(4) for _ in range(6)])
+    assert np.array_equal(attacks.alie_updates(grads, 1.5), attacks.alie_updates(grads, 1.5))
+    assert np.array_equal(attacks.ipm_updates(grads, 1.0), attacks.ipm_updates(grads, 1.0))
 
 
 def test_apply_data_attack_label_flip():
-    out = attacks.apply_data_attack(AttackSpec("label_flip", target=0), small_dataset())
-    assert np.array_equal(out.labels, [0, 0])
-    assert np.array_equal(out.features, small_dataset().features)
+    pool = one_client_pool(small_dataset())
+    attacks.corrupt_pool(AttackSpec("label_flip", target=0), pool, 1, 3, lambda cid: 0)
+    (out,) = pool.stacks
+    assert np.array_equal(out.labels[0], [0, 0])
+    assert np.array_equal(out.features[0], small_dataset().features)
 
 
 def test_apply_data_attack_noisy_stays_clipped():
     spec = AttackSpec("noisy", low=-1.4, high=1.4, clip_lo=-1.0, clip_hi=1.0)
-    out = attacks.apply_data_attack(spec, small_dataset(), seed=5)
+    pool = one_client_pool(small_dataset())
+    attacks.corrupt_pool(spec, pool, 1, 3, lambda cid: 5)
+    (out,) = pool.stacks
     assert out.features.min() >= -1.0
     assert out.features.max() <= 1.0
     assert len(out) == 2
 
 
-def test_apply_data_attack_rejects_model_attacks():
+@pytest.mark.parametrize("kind", ["none", "byzantine_gaussian", "ipm", "alie"])
+def test_corrupt_pool_leaves_other_attacks_alone(kind):
+    pool = one_client_pool(small_dataset())
+    attacks.corrupt_pool(AttackSpec(kind), pool, 1, 3, lambda cid: 0)
+    (out,) = pool.stacks
+    assert np.array_equal(out.features[0], small_dataset().features)
+    assert np.array_equal(out.labels[0], small_dataset().labels)
+
+
+def test_corrupt_pool_noise_bounds_and_zero_noise():
+    ds = LabeledDataset(np.array([[0.5, -0.5], [1.5, -1.5]]), np.array([0, 0]), 1)
+    noisy = one_client_pool(ds)
+    spec = AttackSpec("noisy", low=-1.4, high=1.4, clip_lo=-1.0, clip_hi=1.0)
+    attacks.corrupt_pool(spec, noisy, 1, 1, lambda cid: 3)
+    assert noisy.stacks[0].features.min() >= -1.0 and noisy.stacks[0].features.max() <= 1.0
+    clipped = one_client_pool(ds)
+    spec = AttackSpec("noisy", low=0.0, high=0.0, clip_lo=-1.0, clip_hi=1.0)
+    attacks.corrupt_pool(spec, clipped, 1, 1, lambda cid: 3)
+    assert np.array_equal(clipped.stacks[0].features[0], np.clip(ds.features, -1.0, 1.0))
+
+
+def test_corrupt_pool_flip_labels():
+    ds = LabeledDataset(np.zeros((3, 1)), np.array([0, 1, 2]), 3)
+    pool = one_client_pool(ds)
+    attacks.corrupt_pool(AttackSpec("label_flip", target=0), pool, 1, 3, lambda cid: 0)
+    assert np.array_equal(pool.stacks[0].labels[0], [0, 0, 0])
+    already = LabeledDataset(np.zeros((2, 1)), np.array([0, 0]), 3)
+    pool = one_client_pool(already)
+    attacks.corrupt_pool(AttackSpec("label_flip", target=0), pool, 1, 3, lambda cid: 0)
+    assert np.array_equal(pool.stacks[0].labels[0], already.labels)
     with pytest.raises(ValueError):
-        attacks.apply_data_attack(AttackSpec("ipm"), small_dataset())
+        attacks.corrupt_pool(AttackSpec("label_flip", target=3), pool, 1, 3, lambda cid: 0)
 
 
 def test_submissions_fill_the_leading_malicious_rows():
@@ -138,8 +172,13 @@ def test_submissions_fill_the_leading_malicious_rows():
     assert np.array_equal(gauss[2:], trained)
     rows = np.vstack([np.full((1, 2), np.nan), trained])
     ipm = attacks.submissions(AttackSpec("ipm", epsilon=2.0), w, rows, [1], seed_of)
-    assert np.array_equal(ipm[0], w - attacks.ipm_updates(list(w - trained), 2.0, 1)[0])
+    assert np.array_equal(ipm[0], w - attacks.ipm_updates(w - trained, 2.0))
     assert np.array_equal(ipm[1:], trained)
+    rows = np.vstack([np.full((2, 2), np.nan), trained])
+    alie = attacks.submissions(AttackSpec("alie"), w, rows, [0, 1], seed_of)
+    assert np.array_equal(alie[0], w - attacks.alie_updates(w - trained, 1.0))
+    assert np.array_equal(alie[1], alie[0])
+    assert np.array_equal(alie[2:], trained)
     rows = trained.copy()
     assert np.array_equal(attacks.submissions(AttackSpec("alie"), w, rows, [], seed_of), trained)
     assert np.array_equal(attacks.submissions(AttackSpec("label_flip"), w, rows, [0], seed_of), trained)

@@ -1,5 +1,11 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import MISSING, asdict, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +174,21 @@ def test_run_unknown_key_rejected(tmp_path):
             id="blobs_one_class",
         ),
         pytest.param({"seed": -1}, "seed must be nonnegative", id="seed_negative"),
+        # 30 iid clients on 2 x 10 rows of blobs leave some clients empty.
+        pytest.param(
+            {
+                "n_clients": 30,
+                "clients_per_round": 30,
+                "data": {"kind": "blobs", "n_classes": 2, "samples_per_class": 10},
+            },
+            "need 30 samples for the iid plan, have 20",
+            id="blobs_iid_more_clients_than_rows",
+        ),
+        pytest.param(
+            {"attack": {"kind": "label_flip", "target": 3}},
+            "target 3 out of range [0, 3)",
+            id="blobs_label_flip_target_out_of_range",
+        ),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, overrides, message):
@@ -290,6 +311,43 @@ def test_run_byte_identical_reruns(tmp_path):
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
 
+def test_killed_run_leaves_a_valid_prefix(tmp_path):
+    # Far more rounds than can run before the kill.
+    cfg_path = write_config(tmp_path, base_config(rounds=10**7))
+    out = tmp_path / "o"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    argv = [sys.executable, "-m", "stpafl.cli", "run", "--config", str(cfg_path), "--out", str(out)]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    jsonl_path = out / "rounds.jsonl"
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (jsonl_path.exists() and jsonl_path.read_bytes().count(b"\n") >= 2):
+            assert proc.poll() is None, "the run exited before it was killed"
+            assert time.monotonic() < deadline, "no 2 rounds written within 60 s"
+            time.sleep(0.01)
+    finally:
+        proc.kill()  # SIGKILL
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+
+    def complete_lines(path):
+        # Only the text after the last newline can be a partial line.
+        *lines, _partial = path.read_text().split("\n")
+        return lines
+
+    records = [json.loads(line) for line in complete_lines(jsonl_path)]
+    assert len(records) >= 2
+    assert [rec["round"] for rec in records] == list(range(len(records)))
+    header, *rows = complete_lines(out / "summary.csv")
+    assert header == ",".join(cli.CSV_COLUMNS)
+    # Each round's JSONL line is flushed before its CSV row.
+    assert len(records) - 1 <= len(rows) <= len(records)
+    for rec, row in zip(records, rows):
+        assert row == ",".join(cli._fmt(rec[c]) for c in cli.CSV_COLUMNS)
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, base_config(seed=1))
     monkeypatch.setenv("BB_SEED", "2")
@@ -330,6 +388,8 @@ def test_sweep_rejects_bad_fractions(tmp_path):
     cfg_path = write_config(tmp_path, base_config())
     assert cli.main(["sweep", "--config", str(cfg_path), "--fractions", "", "--out", str(tmp_path / "o")]) == 2
     assert cli.main(["sweep", "--config", str(cfg_path), "--fractions", "0.6", "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(["sweep", "--config", str(cfg_path), "--fractions", "0.1,abc", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_gen_data_round_trip(tmp_path):
@@ -379,8 +439,9 @@ def test_gen_data_zero_samples_exits_2(tmp_path):
         (["--dim", "0"], "dim must be >= 1"),
         (["--spread", "-1"], "spread must be nonnegative"),
         (["--spread", "nan"], "gen-data.spread must be finite, got nan"),
+        (["--seed", "-1"], "seed must be nonnegative"),
     ],
-    ids=["samples_0", "one_class", "dim_0", "spread_negative", "spread_nan"],
+    ids=["samples_0", "one_class", "dim_0", "spread_negative", "spread_nan", "seed_negative"],
 )
 def test_gen_data_bad_args_exit_2_before_output(tmp_path, capsys, args, message):
     out = tmp_path / "x.csv"

@@ -174,23 +174,6 @@ def test_partition_shards_insufficient_data():
         data.partition_noniid_shards(ds, 4, 2, 300, 0)
 
 
-def test_apply_noise_bounds_and_zero_noise():
-    ds = LabeledDataset(np.array([[0.5, -0.5], [1.5, -1.5]]), np.array([0, 0]), 1)
-    noisy = data.apply_noise(ds, -1.4, 1.4, -1.0, 1.0, 3)
-    assert noisy.features.min() >= -1.0 and noisy.features.max() <= 1.0
-    clipped = data.apply_noise(ds, 0.0, 0.0, -1.0, 1.0, 3)
-    assert np.array_equal(clipped.features, np.clip(ds.features, -1.0, 1.0))
-
-
-def test_flip_labels():
-    ds = LabeledDataset(np.zeros((3, 1)), np.array([0, 1, 2]), 3)
-    assert np.array_equal(data.flip_labels(ds, 0).labels, [0, 0, 0])
-    already = LabeledDataset(np.zeros((2, 1)), np.array([0, 0]), 3)
-    assert np.array_equal(data.flip_labels(already, 0).labels, already.labels)
-    with pytest.raises(ValueError):
-        data.flip_labels(ds, 3)
-
-
 def test_csv_round_trip(tmp_path):
     ds = data.generate_blobs(3, 4, 10, 0.9, 17)
     p = tmp_path / "blob.csv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stpafl import models, simulation
-from stpafl.attacks import AttackSpec, apply_data_attack
+from stpafl.attacks import AttackSpec
 from stpafl.data import ClientStack, LabeledDataset, partition_iid
 from stpafl.models import Model, TrainConfig
 from stpafl.simulation import BlobsDataConfig, ModelConfig, ScenarioConfig, derive_seed
@@ -252,6 +252,16 @@ def test_train_clients_blocks_and_two_sizes_equal_per_client_loop(kind, batch, m
         assert np.array_equal(out[i], ref)
 
 
+def corrupted(spec, dataset, seed):
+    """Reference: a data-level attack applied to one client's own dataset."""
+    if spec.kind == "noisy":
+        u = np.random.default_rng(seed).uniform(spec.low, spec.high, size=dataset.features.shape)
+        noisy = np.clip(dataset.features + u, spec.clip_lo, spec.clip_hi)
+        return LabeledDataset(noisy, dataset.labels, dataset.n_classes)
+    flipped = np.full_like(dataset.labels, spec.target)
+    return LabeledDataset(dataset.features, flipped, dataset.n_classes)
+
+
 @pytest.mark.parametrize("attack", ["noisy", "label_flip"])
 def test_pool_rows_equal_corrupted_partition(attack):
     cfg = ScenarioConfig(
@@ -269,7 +279,7 @@ def test_pool_rows_equal_corrupted_partition(attack):
         for k, cid in enumerate(stack.ids):
             expected = train.subset(plan[cid])
             if cid < cfg.n_malicious:
-                expected = apply_data_attack(cfg.attack, expected, derive_seed(cfg.seed, 3, cid))
+                expected = corrupted(cfg.attack, expected, derive_seed(cfg.seed, 3, cid))
             assert np.array_equal(stack.features[k], expected.features)
             assert np.array_equal(stack.labels[k], expected.labels)
             seen.append(int(cid))
