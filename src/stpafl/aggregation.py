@@ -32,12 +32,10 @@ class AggregationRule:
 
 
 def _stack(updates: list[ClientUpdate]) -> np.ndarray:
+    """The (n, d) array of the submitted models; mismatched d raises ValueError."""
     if not updates:
         raise ValueError("empty update list")
-    dim = updates[0].dim
-    if any(u.dim != dim for u in updates):
-        raise ValueError("updates have mismatched dimensions")
-    return np.stack([u.model for u in updates])
+    return np.array([u.model for u in updates])
 
 
 def fed_avg(updates: list[ClientUpdate]) -> np.ndarray:
@@ -107,7 +105,7 @@ def krum_selection(updates: list[ClientUpdate], f: int, m: int) -> list[int]:
 def krum(updates: list[ClientUpdate], f: int, m: int) -> np.ndarray:
     """Unweighted mean of the m lowest-scoring updates."""
     selected = krum_selection(updates, f, m)
-    return np.stack([updates[k].model for k in selected]).mean(axis=0)
+    return np.array([updates[k].model for k in selected]).mean(axis=0)
 
 
 def apply_rule(rule: AggregationRule, updates: list[ClientUpdate]) -> np.ndarray:

@@ -5,7 +5,9 @@ of the stacked ClientPool once, in place, at setup. Model-level attacks
 replace the submitted models each round: byzantine_gaussian draws each one at
 random, while the omniscient attacks (ipm, alie) read the round's honest
 pseudo-gradients and compute one g, which every malicious client submits as
-w_t - g.
+w_t - g. They use whatever honest rows the round has: a cross-device roster
+can draw one honest client or none, and with none g is 0, so the malicious
+clients submit w_t.
 """
 
 from __future__ import annotations
@@ -53,16 +55,19 @@ def gaussian_byzantine_update(w_t: np.ndarray, sigma: float, seed: int) -> np.nd
 
 
 def ipm_updates(G: np.ndarray, epsilon: float) -> np.ndarray:
-    """The IPM pseudo-gradient -epsilon * mean(G) of the (n, d) honest ones G."""
+    """The IPM pseudo-gradient -epsilon * mean(G) of the (n, d) honest ones G; 0 if n is 0."""
     if len(G) == 0:
-        raise ValueError("ipm needs a nonempty benign gradient set")
+        return np.zeros(G.shape[1])
     return -epsilon * G.mean(axis=0)
 
 
 def alie_updates(G: np.ndarray, epsilon: float) -> np.ndarray:
-    """The ALIE pseudo-gradient mean(G) - epsilon * std(G) (population std) per coordinate."""
-    if len(G) < 2:
-        raise ValueError("alie needs at least 2 benign gradients")
+    """The ALIE pseudo-gradient mean(G) - epsilon * std(G) (population std) per coordinate.
+
+    One honest row has std 0, so g is that row; with none, g is 0.
+    """
+    if len(G) == 0:
+        return np.zeros(G.shape[1])
     return G.mean(axis=0) - epsilon * G.std(axis=0)
 
 

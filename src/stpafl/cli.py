@@ -148,6 +148,9 @@ def final_stats(logs, last_n: int = 10) -> tuple[float, float]:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.seed)
+    # final_stats averages the last rounds' errors, which needs at least one.
+    if cfg.rounds < 1:
+        raise ConfigError("sweep needs rounds >= 1")
     try:
         fractions = [float(x) for x in args.fractions.split(",") if x.strip()]
     except ValueError as exc:

@@ -218,8 +218,10 @@ def train_clients(model, w_t, pool: data.ClientPool, ids, cfg: ScenarioConfig, r
     """
     ids = np.asarray(ids, dtype=np.int64)
     for stack in pool.stacks:
-        pos = np.flatnonzero(np.isin(ids, stack.ids))
-        rows = np.searchsorted(stack.ids, ids[pos])
+        # An id this stack lacks lands on another id's row, or past the end.
+        rows = np.searchsorted(stack.ids, ids)
+        pos = np.flatnonzero(stack.ids.take(rows, mode="clip") == ids)
+        rows = rows[pos]
         step = models.block_clients(model, stack.labels.shape[1])
         for a in range(0, len(rows), step):
             block = stack.take(rows[a : a + step])

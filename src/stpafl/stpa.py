@@ -100,7 +100,7 @@ def build_affinity(global_model: np.ndarray, updates: list[ClientUpdate]) -> np.
             for j in range(i + 1, n):
                 S[i, j] = S[j, i] = cosine_similarity(deltas[i], deltas[j])
         return S
-    X = global_model - np.stack([u.model for u in updates])
+    X = global_model - np.array([u.model for u in updates])
     norms = np.linalg.norm(X, axis=1)
     live = norms >= ZERO_NORM_EPS
     norms[~live] = 1.0

@@ -15,7 +15,7 @@ def as_vector(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a flat vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains NaN or infinity")
     return v
 

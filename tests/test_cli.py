@@ -366,6 +366,30 @@ def test_seed_flag_changes_output(tmp_path):
     assert (out1 / "rounds.jsonl").read_bytes() != (out2 / "rounds.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("attack, honest", [("alie", 1), ("ipm", 0)])
+def test_small_roster_runs_through_rounds_with_few_honest_clients(tmp_path, attack, honest):
+    # 102 of 300 clients are malicious and 5 take part per round, so some
+    # rounds draw at most one honest client (with seed 0: round 8 under ALIE,
+    # round 145 under IPM).
+    cfg = {
+        "scenario": "cross_device",
+        "n_clients": 300,
+        "n_malicious": 102,
+        "clients_per_round": 5,
+        "rounds": 150,
+        "seed": 0,
+        "attack": {"kind": attack},
+        "rule": {"kind": "stpa"},
+        "data": {"kind": "blobs", "samples_per_class": 600},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    logs = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
+    assert len(logs) == 150
+    assert any(log["malicious_selected"] == 5 - honest for log in logs)
+    assert all(np.isfinite(log["test_error_pct"]) for log in logs)
+
+
 def test_sweep_rows_and_consistency(tmp_path):
     cfg = base_config(n_clients=10, clients_per_round=10, n_malicious=0, rounds=4)
     cfg_path = write_config(tmp_path, cfg)
@@ -390,6 +414,14 @@ def test_sweep_rejects_bad_fractions(tmp_path):
     assert cli.main(["sweep", "--config", str(cfg_path), "--fractions", "0.6", "--out", str(tmp_path / "o")]) == 2
     assert cli.main(["sweep", "--config", str(cfg_path), "--fractions", "0.1,abc", "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_sweep_zero_rounds_exits_2_before_output(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config(rounds=0))
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--fractions", "0.1", "--out", str(out)]) == 2
+    assert "sweep needs rounds >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_data_round_trip(tmp_path):

@@ -175,6 +175,58 @@ def test_evaluate_error_tie_break_to_class_zero():
     assert err == pytest.approx(100.0 * 2 / 3)
 
 
+def softmax_residual_reference(logits, y):
+    """Reference: the row-wise _softmax_residual the class-major one replaced."""
+    P = logits
+    P -= P.max(axis=-1, keepdims=True)
+    np.exp(P, out=P)
+    P /= P.sum(axis=-1, keepdims=True)
+    flat = P.reshape(-1, P.shape[-1])
+    flat[np.arange(len(flat)), y.reshape(-1)] -= 1.0
+    P /= y.shape[-1]
+    return P
+
+
+@pytest.mark.parametrize("M", [2, 9, 300])
+def test_sum_rows_equals_np_sum_bitwise(M):
+    # Every class count from 1 to 300 crosses numpy's pairwise-sum cutoffs
+    # (8 terms, 128-term blocks, the split of 129 and more).
+    rng = np.random.default_rng(M)
+    for C in range(1, 301):
+        shape = (M, C)
+        A = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        A[rng.random(shape) < 0.1] = 0.0
+        A[rng.random(shape) < 0.1] = -0.0
+        A[0] = -0.0  # np.sum gives +0.0
+        A[1, ::2] = -0.0
+        A[1, 1::2] = 0.0
+        want = A.sum(axis=-1)
+        got = models._sum_rows(np.ascontiguousarray(A.T))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"C={C}"
+
+
+@pytest.mark.parametrize("C", [2, 3, 10, 17, 130])
+@pytest.mark.parametrize(
+    "lead",
+    [(40,), (1, 100), (81, 20), (6, 3)],
+    ids=["one_client", "mlp_block", "full_batch_block", "minibatch_block"],
+)
+def test_softmax_residual_equals_row_wise_reference(lead, C):
+    rng = np.random.default_rng(C * 1000 + len(lead))
+    logits = rng.standard_normal(lead + (C,)) * 10.0 ** rng.integers(-3, 3, size=lead + (C,))
+    flat = logits.reshape(-1, C)
+    flat[0, -1] = np.inf
+    flat[1, 0] = -np.inf
+    flat[2, 1] = np.nan
+    flat[3] = -np.inf
+    y = rng.integers(0, C, size=lead)
+    got = logits.copy()
+    with np.errstate(invalid="ignore"):  # inf - inf in the rows made nonfinite above
+        want = softmax_residual_reference(logits.copy(), y)
+        assert models._softmax_residual(got, y) is got
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def per_client_train(model, params, dataset, cfg, seed=0):
     """Reference: the one-client-at-a-time training loop the stacked path replaced."""
     rng = np.random.default_rng(seed)

@@ -191,17 +191,20 @@ def test_stpa_and_median_converge_together_without_attack():
     assert abs(stp_final - med_final) <= 3.0
 
 
-def test_omniscient_attack_requires_honest_client():
-    cfg = ScenarioConfig(
-        scenario="cross_silo",
-        n_clients=2,
-        n_malicious=1,
-        clients_per_round=2,
-        rounds=1,
-        seed=1,
-        attack=AttackSpec("alie", epsilon=1.5),
-        data=SMALL_DATA,
-    )
-    # one honest client cannot supply the 2 gradients ALiE needs
-    with pytest.raises(ValueError):
-        run_experiment(cfg)
+def test_omniscient_attacks_run_with_one_honest_client():
+    # one honest row per round: ALIE's sigma is 0, so the malicious client
+    # submits (up to rounding) the honest model; IPM reverses its step
+    for kind in ("alie", "ipm"):
+        cfg = ScenarioConfig(
+            scenario="cross_silo",
+            n_clients=2,
+            n_malicious=1,
+            clients_per_round=2,
+            rounds=3,
+            seed=1,
+            attack=AttackSpec(kind, epsilon=1.5),
+            data=SMALL_DATA,
+        )
+        logs = run_experiment(cfg)
+        assert len(logs) == 3
+        assert all(0.0 <= log.test_error_pct <= 100.0 for log in logs)
