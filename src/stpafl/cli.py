@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import builtins
+import itertools
 import json
 import math
 import os
@@ -122,6 +123,11 @@ def _fmt(value) -> str:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.seed)
+    logs = iter_experiment(cfg)
+    # The first item loads the data, builds the pool and plays round 0, so a
+    # run that fails on its data (idx/csv sizes and classes are known only
+    # once loaded) leaves no output behind.
+    head = list(itertools.islice(logs, 1))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     jsonl_path = out / "rounds.jsonl"
@@ -129,7 +135,7 @@ def cmd_run(args) -> int:
     with open(jsonl_path, "w") as jf, open(csv_path, "w") as cf:
         cf.write(",".join(CSV_COLUMNS) + "\n")
         cf.flush()
-        for log in iter_experiment(cfg):
+        for log in itertools.chain(head, logs):
             # The instance dict is RoundLog's fields in order. dataclasses.asdict
             # gives the same dict but deep-copies every value, per round.
             row = vars(log)

@@ -8,6 +8,7 @@ as plain vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,9 @@ def _T(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _affine(inputs: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """inputs @ weight.T + bias, batched over leading axes, as a fresh array."""
-    out = inputs @ _T(weight)
+def _affine(inputs: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """inputs @ weight.T + bias, batched over leading axes, written into out."""
+    np.matmul(inputs, _T(weight), out=out)
     out += bias[..., None, :]
     return out
 
@@ -71,19 +72,22 @@ def _sum_rows(P: np.ndarray) -> np.ndarray:
     return s
 
 
-def _softmax_residual(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _softmax_residual(logits: np.ndarray, y: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
     """d(mean cross-entropy)/d(logits) = (softmax - onehot(y)) / n_samples.
 
-    Overwrites logits, which must be a fresh C-contiguous array, and returns
-    it. The work runs class-major, on a (C, M) copy of the M rows of logits.
-    Row-major, the max and the sum reduce the short class axis (10 wide here)
-    once per row, M times per call, and that per-row cost dominated a linear
-    gradient step; class-major, each step is a few calls over rows of length
-    M. _sum_rows keeps the normalising sums equal to np.sum(axis=-1) bit for
-    bit, so trained models do not change.
+    Overwrites logits, which must be a C-contiguous array, and returns it. The
+    work runs class-major, on a (C, M) copy of the M rows of logits, made in P
+    if given and in a fresh array if not. Row-major, the max and the sum
+    reduce the short class axis (10 wide here) once per row, M times per
+    call, and that per-row cost dominated a linear gradient step;
+    class-major, each step is a few calls over rows of length M. _sum_rows
+    keeps the normalising sums equal to np.sum(axis=-1) bit for bit, so
+    trained models do not change.
     """
     flat = logits.reshape(-1, logits.shape[-1])
-    P = flat.T.copy()
+    if P is None:
+        P = np.empty(flat.T.shape)
+    P[...] = flat.T
     P -= P.max(axis=0)
     np.exp(P, out=P)
     P /= _sum_rows(P)
@@ -99,7 +103,7 @@ class Model:
     is multinomial logistic regression. Packing order: each layer's weight
     (out, in) row-major, then its bias, layer by layer.
 
-    unpack, pack, logits and gradient also take a leading batch axis: params
+    unpack, logits and gradient also take a leading batch axis: params
     (K, dim) with features (K, N, F) and labels (K, N) act as K models.
     """
 
@@ -131,37 +135,54 @@ class Model:
             layers += [params[..., start:cut].reshape(lead + shape), params[..., cut:end]]
         return layers
 
-    def pack(self, *layers: np.ndarray) -> np.ndarray:
-        lead = layers[1].shape[:-1]
-        return np.concatenate([a.reshape(lead + (-1,)) for a in layers], axis=-1)
+    def buffers(self, shape: tuple[int, ...]) -> tuple:
+        """Scratch for gradient on labels of this shape, lead + (N,).
+
+        (outs, deltas, P, grad, grads): each layer's output, (…, N, n_out),
+        which holds the tanh activations and the logits; one backpropagated
+        residual per hidden layer, shaped like its output; the (C, M)
+        class-major softmax copy; the (…, dim) packed gradient, and its
+        unpack views, which the backward pass writes.
+        """
+        outs = [np.empty(shape + (n_out,)) for (n_out, _), *_ in self._layers]
+        deltas = [np.empty_like(h) for h in outs[:-1]]
+        P = np.empty((outs[-1].shape[-1], math.prod(shape)))
+        grad = np.empty(shape[:-1] + (self.dim,))
+        return outs, deltas, P, grad, self.unpack(grad)
 
     @staticmethod
-    def _forward(layers, X):
-        """The input of every layer (X, then each tanh activation) and the logits."""
-        inputs = [X]
-        for W, b in zip(layers[0:-2:2], layers[1:-2:2]):
-            hidden = _affine(inputs[-1], W, b)
-            inputs.append(np.tanh(hidden, out=hidden))
-        return inputs, _affine(inputs[-1], layers[-2], layers[-1])
+    def _forward(layers, X, outs):
+        """Write each layer's output into outs: the tanh activations, then the logits."""
+        h = X
+        for W, b, out in zip(layers[0:-2:2], layers[1:-2:2], outs):
+            h = np.tanh(_affine(h, W, b, out), out=out)
+        return _affine(h, layers[-2], layers[-1], outs[-1])
 
     def logits(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return self._forward(self.unpack(params), X)[1]
+        outs = [np.empty(X.shape[:-1] + (n_out,)) for (n_out, _), *_ in self._layers]
+        return self._forward(self.unpack(params), X, outs)
 
-    def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray, buffers=None) -> np.ndarray:
+        """d(mean cross-entropy)/d(params), packed like params.
+
+        Written into buffers, from self.buffers(y.shape), when given: the
+        result is then buffers' gradient array, which the next call with the
+        same buffers overwrites. Without buffers every array is fresh.
+        """
+        outs, deltas, P, grad, grads = self.buffers(y.shape) if buffers is None else buffers
         layers = self.unpack(params)
-        inputs, logits = self._forward(layers, X)
-        delta = _softmax_residual(logits, y)
-        grads = [None] * len(layers)
+        delta = _softmax_residual(self._forward(layers, X, outs), y, P)
+        inputs = [X, *outs[:-1]]
         for k in reversed(range(len(inputs))):  # layer k: layers[2k] @ inputs[k] + layers[2k+1]
             h = inputs[k]
-            grads[2 * k] = _T(delta) @ h
-            grads[2 * k + 1] = delta.sum(axis=-2)
+            np.matmul(_T(delta), h, out=grads[2 * k])
+            np.sum(delta, axis=-2, out=grads[2 * k + 1])
             if k:
-                delta = delta @ layers[2 * k]
-                slope = h * h
-                np.subtract(1.0, slope, out=slope)
-                delta *= slope  # tanh' = 1 - tanh^2
-        return self.pack(*grads)
+                delta = np.matmul(delta, layers[2 * k], out=deltas[k - 1])
+                h *= h  # the activation's last use: it becomes tanh' = 1 - tanh^2
+                np.subtract(1.0, h, out=h)
+                delta *= h
+        return grad
 
 
 def make_model(kind: str, n_features: int, n_classes: int, hidden: int = 200) -> Model:
@@ -172,10 +193,15 @@ def make_model(kind: str, n_features: int, n_classes: int, hidden: int = 200) ->
 
 # Element budget for one training block: the most clients whose widest
 # activation (clients x rows x model.width float64s) stays within it train in
-# one stacked call. Measured: 16k puts each 100-client linear round in one
-# block and keeps 200-wide MLP clients of 100 rows one per block, where bigger
-# blocks were slower than per-client calls.
-BLOCK_ELEMENTS = 16_384
+# one stacked call. It puts every 100-client linear round in one block and
+# 200-wide MLP clients of 100 rows three to a block. While every gradient
+# step allocated fresh block-sized temporaries, blocks of three were no
+# faster than blocks of one: the same minimum time, a higher median, from
+# allocator churn. With local_train's buffers reused across steps, three to a
+# block cut the Krum workload's perfbench round_ms_p90 by about 11%.
+# Thirteen to a block trained slower than three (20.1 vs 16.0 ms a round,
+# interleaved), likely because its buffers outgrow the 2 MB per-core L2.
+BLOCK_ELEMENTS = 65_536
 
 
 def block_clients(model, n_rows: int) -> int:
@@ -199,20 +225,23 @@ def local_train(
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     X, y = dataset.features, dataset.labels
-    p = np.broadcast_to(params, y.shape[:-1] + params.shape).copy()
-    if cfg.batch_size is None:
-        for _ in range(cfg.local_steps):
-            p -= cfg.local_lr * model.gradient(p, X, y)
-        return p
-    n = y.shape[-1]
-    size = min(cfg.batch_size, n)
-    rngs = [np.random.default_rng(s) for s in (seed if y.ndim > 1 else [seed])]
+    lead, n = y.shape[:-1], y.shape[-1]
+    p = np.broadcast_to(params, lead + params.shape).copy()
+    size = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    # One set of block-sized buffers serves every step of this call.
+    buffers = model.buffers(lead + (size,))
+    if cfg.batch_size is not None:
+        rngs = [np.random.default_rng(s) for s in (seed if lead else [seed])]
     for _ in range(cfg.local_steps):
-        idx = np.stack([rng.choice(n, size=size, replace=False) for rng in rngs])
-        idx = idx.reshape(y.shape[:-1] + (size,))
-        Xb = np.take_along_axis(X, idx[..., None], axis=-2)
-        yb = np.take_along_axis(y, idx, axis=-1)
-        p -= cfg.local_lr * model.gradient(p, Xb, yb)
+        Xb, yb = X, y
+        if cfg.batch_size is not None:
+            idx = np.stack([rng.choice(n, size=size, replace=False) for rng in rngs])
+            idx = idx.reshape(lead + (size,))
+            Xb = np.take_along_axis(X, idx[..., None], axis=-2)
+            yb = np.take_along_axis(y, idx, axis=-1)
+        g = model.gradient(p, Xb, yb, buffers)
+        np.multiply(cfg.local_lr, g, out=g)
+        p -= g
     return p
 
 

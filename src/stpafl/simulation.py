@@ -167,7 +167,7 @@ def select_clients(cfg: ScenarioConfig, rng: np.random.Generator) -> list[int]:
     if cfg.scenario == "cross_silo":
         return list(range(cfg.n_clients))
     chosen = rng.choice(cfg.n_clients, size=cfg.clients_per_round, replace=False)
-    return sorted(int(c) for c in chosen)
+    return np.sort(chosen).tolist()
 
 
 def build_data(cfg: ScenarioConfig) -> tuple[data.LabeledDataset, data.LabeledDataset]:

@@ -199,6 +199,22 @@ def test_bad_config_exits_2_before_output(tmp_path, capsys, overrides, message):
     assert not out.exists()
 
 
+def test_csv_label_flip_target_out_of_range_exits_before_output(tmp_path, capsys):
+    # A CSV's classes are known only once the file is loaded, so this config
+    # passes the parser and must fail at run time, before --out exists.
+    for name, seed in (("train.csv", 1), ("test.csv", 2)):
+        gen = ["gen-data", "--classes", "3", "--dim", "4", "--samples-per-class", "10"]
+        assert cli.main([*gen, "--seed", str(seed), "--out", str(tmp_path / name)]) == 0
+    csv_data = {"kind": "csv", "train_path": str(tmp_path / "train.csv"),
+                "test_path": str(tmp_path / "test.csv")}
+    attack = {"kind": "label_flip", "target": 5}
+    cfg_path = write_config(tmp_path, base_config(data=csv_data, attack=attack))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) != 0
+    assert "target 5 out of range [0, 3)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "env, flags", [({}, ["--seed", "-5"]), ({"BB_SEED": "-1"}, [])], ids=["seed_flag", "seed_env"]
 )

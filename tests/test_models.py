@@ -28,6 +28,14 @@ def fd_gradient(model, params, dataset, h=1e-5):
     return g
 
 
+def pack(model, *layers):
+    """The parameter vector holding these layers, written through unpack's views."""
+    p = np.full(layers[1].shape[:-1] + (model.dim,), np.nan)
+    for view, layer in zip(model.unpack(p), layers, strict=True):
+        view[...] = layer
+    return p
+
+
 def random_dataset(rng, n, d, c):
     X = rng.standard_normal((n, d))
     y = rng.integers(0, c, size=n)
@@ -49,12 +57,12 @@ def test_packing_round_trip():
     p = lin.init_params(rng)
     assert p.shape == (lin.dim,)
     W, b = lin.unpack(p)
-    assert np.array_equal(lin.pack(W, b), p)
+    assert np.array_equal(pack(lin, W, b), p)
 
     mlp = Model(4, 3, (6,))
     q = mlp.init_params(rng)
     assert q.shape == (mlp.dim,)
-    assert np.array_equal(mlp.pack(*mlp.unpack(q)), q)
+    assert np.array_equal(pack(mlp, *mlp.unpack(q)), q)
 
 
 def test_loss_uniform_predictor():
@@ -69,7 +77,7 @@ def test_loss_confident_correct_prediction():
     model = Model(1, 2)
     ds = LabeledDataset(np.array([[1.0]]), np.array([0]), 2)
     # large margin toward the true class drives the loss toward 0
-    p = model.pack(np.array([[50.0], [-50.0]]), np.zeros(2))
+    p = pack(model, np.array([[50.0], [-50.0]]), np.zeros(2))
     assert cross_entropy(model, p, ds) < 1e-8
 
 
@@ -100,7 +108,7 @@ def test_linear_gradient_hand_case():
 def test_gradient_zero_at_confident_optimum():
     model = Model(1, 2)
     ds = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
-    p = model.pack(np.array([[60.0], [-60.0]]), np.zeros(2))
+    p = pack(model, np.array([[60.0], [-60.0]]), np.zeros(2))
     assert np.linalg.norm(model.gradient(p, ds.features, ds.labels)) < 1e-10
 
 
@@ -129,7 +137,76 @@ def test_two_hidden_layers_gradient_and_width():
     fd = fd_gradient(model, p, ds)
     g = model.gradient(p, ds.features, ds.labels)
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
-    assert np.array_equal(model.pack(*model.unpack(p)), p)
+    assert np.array_equal(pack(model, *model.unpack(p)), p)
+
+
+def reference_gradient(model, params, X, y):
+    """Reference: the gradient as it was computed with a fresh array per operation."""
+    layers = model.unpack(params)
+    inputs = [X]
+    for W, b in zip(layers[0:-2:2], layers[1:-2:2]):
+        inputs.append(np.tanh(inputs[-1] @ models._T(W) + b[..., None, :]))
+    delta = models._softmax_residual(inputs[-1] @ models._T(layers[-2]) + layers[-1][..., None, :], y)
+    grads = [None] * len(layers)
+    for k in reversed(range(len(inputs))):
+        h = inputs[k]
+        grads[2 * k] = models._T(delta) @ h
+        grads[2 * k + 1] = delta.sum(axis=-2)
+        if k:
+            delta = (delta @ layers[2 * k]) * (1.0 - h * h)
+    return pack(model, *grads)
+
+
+@pytest.mark.parametrize("hidden", [(), (9,), (7, 5)], ids=["linear", "one_hidden", "two_hidden"])
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["one_model", "block", "two_lead_axes"])
+@pytest.mark.parametrize("n", [12, 3], ids=["full_batch", "minibatch"])
+def test_gradient_into_buffers_equals_fresh_arrays_bitwise(hidden, lead, n):
+    rng = np.random.default_rng(len(hidden) * 100 + len(lead) * 10 + n)
+    model = Model(6, 4, hidden)
+    X = rng.standard_normal(lead + (n, 6))
+    y = rng.integers(0, 4, size=lead + (n,))
+    buffers = model.buffers(y.shape)
+    for _ in range(2):  # the second call runs on buffers the first one filled
+        p = rng.standard_normal(lead + (model.dim,))
+        fresh = model.gradient(p, X, y)
+        into = model.gradient(p, X, y, buffers)
+        assert into is buffers[3]
+        assert np.array_equal(into, fresh)
+        assert np.array_equal(fresh, reference_gradient(model, p, X, y))
+
+
+def test_fresh_gradient_is_not_overwritten_by_a_later_call():
+    rng = np.random.default_rng(44)
+    model = Model(5, 3, (8,))
+    X, y = rng.standard_normal((2, 10, 5)), rng.integers(0, 3, size=(2, 10))
+    p, q = rng.standard_normal((2, 2, model.dim))
+    g = model.gradient(p, X, y)
+    kept = g.copy()
+    model.gradient(q, X, y)
+    model.gradient(q, X, y, model.buffers(y.shape))
+    assert np.array_equal(g, kept)
+
+
+def test_local_train_blocks_of_1_3_and_13_clients_bit_equal():
+    # The Krum workload's shape: 13 honest MLP clients of 100 rows, F = 20,
+    # 200 hidden units, C = 10.
+    rng = np.random.default_rng(45)
+    model = Model(20, 10, (200,))
+    K = 13
+    stack = ClientStack(
+        np.arange(K), rng.standard_normal((K, 100, 20)), rng.integers(0, 10, size=(K, 100))
+    )
+    cfg = TrainConfig(local_steps=3, local_lr=0.05)
+    p0 = model.init_params(rng)
+    trained = {
+        step: np.concatenate(
+            [models.local_train(model, p0, stack.take(np.arange(a, min(a + step, K))), cfg)
+             for a in range(0, K, step)]
+        )
+        for step in (1, 3, 13)
+    }
+    assert np.array_equal(trained[1], trained[3])
+    assert np.array_equal(trained[1], trained[13])
 
 
 def test_local_train_zero_steps_rejected_and_descends():
@@ -160,10 +237,10 @@ def test_local_train_minibatch_deterministic_by_seed():
 def test_evaluate_error_perfect_and_constant():
     model = Model(1, 2)
     ds = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
-    perfect = model.pack(np.array([[10.0], [-10.0]]), np.zeros(2))
+    perfect = pack(model, np.array([[10.0], [-10.0]]), np.zeros(2))
     assert models.evaluate_error(model, perfect, ds) == 0.0
     # constant classifier on balanced 2-class data: 50% error
-    constant = model.pack(np.zeros((2, 1)), np.array([5.0, 0.0]))
+    constant = pack(model, np.zeros((2, 1)), np.array([5.0, 0.0]))
     assert models.evaluate_error(model, constant, ds) == 50.0
 
 
