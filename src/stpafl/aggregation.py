@@ -93,13 +93,11 @@ def krum_scores(updates: list[ClientUpdate], f: int) -> np.ndarray:
 
 
 def krum_selection(updates: list[ClientUpdate], f: int, m: int) -> list[int]:
-    """Indices of the m lowest-scoring updates; ties go to the smaller slot."""
+    """Indices of the m lowest-scoring updates; ties go to the earlier one."""
     n = len(updates)
     if not 1 <= m <= n - f - 2:
         raise ValueError(f"krum needs 1 <= m <= n - f - 2, got m={m}, n={n}, f={f}")
-    scores = krum_scores(updates, f)
-    order = sorted(range(n), key=lambda k: (scores[k], updates[k].slot))
-    return order[:m]
+    return np.argsort(krum_scores(updates, f), kind="stable")[:m].tolist()
 
 
 def krum(updates: list[ClientUpdate], f: int, m: int) -> np.ndarray:

@@ -93,14 +93,13 @@ def submissions(spec: AttackSpec, w_t, rows: np.ndarray, mal_ids: list, seed_of)
     return rows
 
 
-def corrupt_pool(spec: AttackSpec, pool: ClientPool, n_malicious: int, n_classes: int, seed_of):
+def corrupt_pool(spec: AttackSpec, pool: ClientPool, n_malicious: int, seed_of):
     """Corrupt the rows of clients [0, n_malicious) in pool's stacks, in place.
 
     noisy: x <- clip(x + u, clip_lo, clip_hi), u ~ Uniform(low, high) per element
-    drawn from seed_of(cid); label_flip: every label becomes target; others: nothing.
+    drawn from seed_of(cid); label_flip: every label becomes target, which
+    simulation.check_data keeps below the class count; others: nothing.
     """
-    if spec.kind == "label_flip" and spec.target >= n_classes:
-        raise ValueError(f"target {spec.target} out of range [0, {n_classes})")
     for stack in pool.stacks:
         for k in np.flatnonzero(stack.ids < n_malicious):
             if spec.kind == "noisy":

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .simulation import BlobsDataConfig, ScenarioConfig, iter_experiment, run_experiment
+from .simulation import BlobsDataConfig, ConfigError, ScenarioConfig, iter_experiment, run_experiment
 
 CSV_COLUMNS = (
     "round",
@@ -36,10 +36,6 @@ CSV_COLUMNS = (
     "malicious_selected",
     "discarded",
 )
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def from_dict(cls, obj: dict, where: str):
@@ -124,9 +120,8 @@ def _fmt(value) -> str:
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.seed)
     logs = iter_experiment(cfg)
-    # The first item loads the data, builds the pool and plays round 0, so a
-    # run that fails on its data (idx/csv sizes and classes are known only
-    # once loaded) leaves no output behind.
+    # The first item loads and checks the data, builds the pool and plays
+    # round 0, so a run whose plan its data cannot fill leaves no output.
     head = list(itertools.islice(logs, 1))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,8 +160,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError("empty fraction list")
     if any(not 0.0 < f < 0.5 for f in fractions):
         raise ConfigError("fractions must lie in (0, 0.5)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for fraction in fractions:
         n_malicious = int(round(fraction * cfg.n_clients))
@@ -174,6 +167,8 @@ def cmd_sweep(args) -> int:
         logs = run_experiment(sub)
         mean, std = final_stats(logs)
         rows.append((fraction, cfg.rule.kind, cfg.attack.kind, mean, std))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w") as fh:
         fh.write("fraction,rule,attack,mean_final_error,std_final_error\n")
         for fraction, rule, attack, mean, std in rows:

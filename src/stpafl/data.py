@@ -18,19 +18,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Base error for malformed IDX files."""
-
-
-class IdxWrongMagicError(IdxFormatError):
-    pass
-
-
-class IdxTruncatedError(IdxFormatError):
-    pass
-
-
-class IdxShapeMismatchError(IdxFormatError):
-    """Image and label files disagree on the number of samples."""
+    """A malformed IDX file, or an image/label pair that disagree on the sample count."""
 
 
 @dataclass
@@ -156,12 +144,10 @@ def generate_blobs(
 def _read_idx_header(raw: bytes, path, expected_magic: int, n_dims: int):
     header_len = 4 + 4 * n_dims
     if len(raw) < header_len:
-        raise IdxTruncatedError(f"{path}: file shorter than its header")
+        raise IdxFormatError(f"{path}: file shorter than its header")
     (magic,) = struct.unpack(">I", raw[:4])
     if magic != expected_magic:
-        raise IdxWrongMagicError(
-            f"{path}: wrong magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
-        )
+        raise IdxFormatError(f"{path}: wrong magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
     dims = struct.unpack(f">{n_dims}I", raw[4:header_len])
     return dims, raw[header_len:]
 
@@ -176,18 +162,18 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     (n_images, rows, cols), body = _read_idx_header(raw, images_path, IDX_IMAGES_MAGIC, 3)
     expected = n_images * rows * cols
     if len(body) < expected:
-        raise IdxTruncatedError(f"{images_path}: expected {expected} pixel bytes, got {len(body)}")
+        raise IdxFormatError(f"{images_path}: expected {expected} pixel bytes, got {len(body)}")
     pixels = np.frombuffer(body[:expected], dtype=np.uint8).reshape(n_images, rows * cols)
 
     with open(labels_path, "rb") as fh:
         raw = fh.read()
     (n_labels,), body = _read_idx_header(raw, labels_path, IDX_LABELS_MAGIC, 1)
     if len(body) < n_labels:
-        raise IdxTruncatedError(f"{labels_path}: expected {n_labels} label bytes, got {len(body)}")
+        raise IdxFormatError(f"{labels_path}: expected {n_labels} label bytes, got {len(body)}")
     labels = np.frombuffer(body[:n_labels], dtype=np.uint8).astype(np.int64)
 
     if n_labels != n_images:
-        raise IdxShapeMismatchError(
+        raise IdxFormatError(
             f"{images_path} has {n_images} images but {labels_path} has {n_labels} labels"
         )
     features = pixels.astype(np.float64) * (2.0 / 255.0) - 1.0
@@ -213,11 +199,9 @@ def partition_noniid_shards(
 ) -> list[np.ndarray]:
     """Label-sorted shards of fixed size, shuffled and dealt per client.
 
-    Rows beyond n_clients * shards_per_client * shard_size are discarded.
+    Rows beyond n_clients * shards_per_client * shard_size are discarded; the
+    dataset must hold that many (simulation.check_data checks it).
     """
-    needed = n_clients * shards_per_client * shard_size
-    if needed > len(dataset):
-        raise ValueError(f"need {needed} samples for the shard plan, have {len(dataset)}")
     order = np.argsort(dataset.labels, kind="stable")
     n_shards = len(dataset) // shard_size
     shards = [order[i * shard_size : (i + 1) * shard_size] for i in range(n_shards)]

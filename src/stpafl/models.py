@@ -210,33 +210,27 @@ def block_clients(model, n_rows: int) -> int:
 
 
 def local_train(
-    model,
-    params: np.ndarray,
-    dataset: LabeledDataset | ClientStack,
-    cfg: TrainConfig,
-    seed=0,
+    model, params: np.ndarray, stack: ClientStack, cfg: TrainConfig, seeds=None
 ) -> np.ndarray:
     """Run cfg.local_steps gradient-descent steps at rate cfg.local_lr.
 
-    dataset is one client (returns (dim,)) or a ClientStack of K clients,
-    each starting from params (returns (K, dim)). seed is read only for
-    minibatches: an int for one client, one int per client of a stack.
+    Each of the K clients of stack starts from params; returns (K, dim).
+    seeds, one per client, draw the minibatches and are read only for them.
     """
-    if len(dataset) == 0:
+    if len(stack) == 0:
         raise ValueError("empty dataset")
-    X, y = dataset.features, dataset.labels
-    lead, n = y.shape[:-1], y.shape[-1]
-    p = np.broadcast_to(params, lead + params.shape).copy()
+    X, y = stack.features, stack.labels
+    K, n = y.shape
+    p = np.broadcast_to(params, (K,) + params.shape).copy()
     size = n if cfg.batch_size is None else min(cfg.batch_size, n)
     # One set of block-sized buffers serves every step of this call.
-    buffers = model.buffers(lead + (size,))
+    buffers = model.buffers((K, size))
     if cfg.batch_size is not None:
-        rngs = [np.random.default_rng(s) for s in (seed if lead else [seed])]
+        rngs = [np.random.default_rng(s) for s in seeds]
     for _ in range(cfg.local_steps):
         Xb, yb = X, y
         if cfg.batch_size is not None:
             idx = np.stack([rng.choice(n, size=size, replace=False) for rng in rngs])
-            idx = idx.reshape(lead + (size,))
             Xb = np.take_along_axis(X, idx[..., None], axis=-2)
             yb = np.take_along_axis(y, idx, axis=-1)
         g = model.gradient(p, Xb, yb, buffers)

@@ -20,6 +20,10 @@ from .stpa import StepOutcome, StpaConfig, stpa_round
 from .vectors import ClientUpdate
 
 
+class ConfigError(ValueError):
+    """A config that cannot run: bad values, or a plan its data cannot fill."""
+
+
 def derive_seed(*parts) -> int:
     """Stable 32-bit seed from a tuple of integers."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
@@ -128,18 +132,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"krum needs 1 <= m <= n - f - 2, got m={krum.m}, n={n}, f={krum.f}"
             )
-        # idx/csv sizes and classes are known only after loading and are
-        # checked at run time.
-        part, dc = self.partition, self.data
-        if dc.kind == "blobs":
-            have = dc.n_classes * dc.samples_per_class
-            needed, plan = self.n_clients, "iid"
-            if part.scheme == "noniid_shards":
-                needed, plan = needed * part.shards_per_client * part.shard_size, "shard"
-            if needed > have:
-                raise ValueError(f"need {needed} samples for the {plan} plan, have {have}")
-            if self.attack.kind == "label_flip" and self.attack.target >= dc.n_classes:
-                raise ValueError(f"target {self.attack.target} out of range [0, {dc.n_classes})")
 
 
 @dataclass
@@ -193,6 +185,28 @@ def build_data(cfg: ScenarioConfig) -> tuple[data.LabeledDataset, data.LabeledDa
     raise ValueError(f"unknown data kind: {dc.kind}")
 
 
+def check_data(cfg: ScenarioConfig, train: data.LabeledDataset, test: data.LabeledDataset):
+    """Raise ConfigError unless the loaded data fits the partition, attack and model.
+
+    idx/csv sizes and classes are known only once loaded, so this is the one
+    check of them for every data kind.
+    """
+    part, have = cfg.partition, len(train)
+    needed, plan = cfg.n_clients, "iid"
+    if part.scheme == "noniid_shards":
+        needed, plan = needed * part.shards_per_client * part.shard_size, "shard"
+    if needed > have:
+        raise ConfigError(f"need {needed} samples for the {plan} plan, have {have}")
+    if cfg.attack.kind == "label_flip" and cfg.attack.target >= train.n_classes:
+        raise ConfigError(f"target {cfg.attack.target} out of range [0, {train.n_classes})")
+    if test.n_features != train.n_features:
+        raise ConfigError(f"test set has {test.n_features} features, train set has {train.n_features}")
+    if len(test) and test.labels.max() >= train.n_classes:
+        raise ConfigError(
+            f"test label {test.labels.max()} out of range [0, {train.n_classes}) of the train set"
+        )
+
+
 def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> data.ClientPool:
     """Partition the training data, stack it, corrupt the malicious clients' rows."""
     if cfg.partition.scheme == "iid":
@@ -207,7 +221,7 @@ def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> da
         )
     pool = data.ClientPool.from_partition(train, assignments)
     seed_of = lambda cid: derive_seed(cfg.seed, 3, cid)  # noqa: E731
-    attacks.corrupt_pool(cfg.attack, pool, cfg.n_malicious, train.n_classes, seed_of)
+    attacks.corrupt_pool(cfg.attack, pool, cfg.n_malicious, seed_of)
     return pool
 
 
@@ -228,7 +242,7 @@ def train_clients(model, w_t, pool: data.ClientPool, ids, cfg: ScenarioConfig, r
             seeds = None
             if cfg.train.batch_size is not None:
                 seeds = [derive_seed(cfg.seed, 4, r, int(cid)) for cid in block.ids]
-            out[pos[a : a + step]] = models.local_train(model, w_t, block, cfg.train, seed=seeds)
+            out[pos[a : a + step]] = models.local_train(model, w_t, block, cfg.train, seeds)
 
 
 def run_round(
@@ -250,10 +264,7 @@ def run_round(
     submitted = attacks.submissions(
         cfg.attack, w_t, rows, mal_ids, lambda cid: derive_seed(cfg.seed, 5, r, cid)
     )
-    updates = [
-        ClientUpdate(r, slot, submitted[slot], pool.counts[cid])
-        for slot, cid in enumerate(selected)
-    ]
+    updates = [ClientUpdate(x, pool.counts[cid]) for x, cid in zip(submitted, selected)]
     if cfg.rule.kind == "stpa":
         outcome, state.momentum = stpa_round(w_t, updates, state.momentum, cfg.stpa)
     else:
@@ -276,6 +287,7 @@ def run_round(
 def iter_experiment(cfg: ScenarioConfig):
     """Yield one RoundLog per round; see run_experiment for the list form."""
     train, test = build_data(cfg)
+    check_data(cfg, train, test)
     pool = setup_client_datasets(cfg, train)
     model = models.make_model(
         cfg.model.kind, train.n_features, train.n_classes, cfg.model.hidden
@@ -292,4 +304,5 @@ def iter_experiment(cfg: ScenarioConfig):
 
 
 def run_experiment(cfg: ScenarioConfig) -> list[RoundLog]:
+    """Every round's log; ConfigError before round 0 if the data cannot fill cfg's plan."""
     return list(iter_experiment(cfg))

@@ -22,22 +22,12 @@ def as_vector(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClientUpdate:
-    """One client's submitted local model for a round.
+    """One client's submitted local model for a round, with its sample count."""
 
-    slot is the position within the round's roster, not a persistent client
-    identity.
-    """
-
-    round_index: int
-    slot: int
     model: np.ndarray
     sample_count: int
 
     def __post_init__(self):
-        if self.round_index < 0:
-            raise ValueError("round_index must be nonnegative")
-        if self.slot < 0:
-            raise ValueError("slot must be nonnegative")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
         object.__setattr__(self, "model", as_vector(self.model))

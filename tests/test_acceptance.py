@@ -40,7 +40,7 @@ def final10(logs):
 
 
 def mk_updates(X):
-    return [ClientUpdate(0, i, x, 1) for i, x in enumerate(X)]
+    return [ClientUpdate(x, 1) for x in X]
 
 
 # ------------------------------------------------------------ shared runs

@@ -15,7 +15,7 @@ def mk(models, counts=None):
     models = [np.asarray(m, dtype=np.float64) for m in models]
     if counts is None:
         counts = [1] * len(models)
-    return [ClientUpdate(0, i, m, c) for i, (m, c) in enumerate(zip(models, counts))]
+    return [ClientUpdate(m, c) for m, c in zip(models, counts)]
 
 
 # ---------------------------------------------------------------- oracles
@@ -205,7 +205,7 @@ def test_rule_validation():
 def test_empty_and_mismatched_updates_rejected():
     with pytest.raises(ValueError):
         aggregation.fed_avg([])
-    bad = [ClientUpdate(0, 0, [1.0], 1), ClientUpdate(0, 1, [1.0, 2.0], 1)]
+    bad = [ClientUpdate([1.0], 1), ClientUpdate([1.0, 2.0], 1)]
     with pytest.raises(ValueError):
         aggregation.coordinate_median(bad)
 

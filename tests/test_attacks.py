@@ -118,7 +118,7 @@ def test_omniscient_attacks_deterministic():
 
 def test_apply_data_attack_label_flip():
     pool = one_client_pool(small_dataset())
-    attacks.corrupt_pool(AttackSpec("label_flip", target=0), pool, 1, 3, lambda cid: 0)
+    attacks.corrupt_pool(AttackSpec("label_flip", target=0), pool, 1, lambda cid: 0)
     (out,) = pool.stacks
     assert np.array_equal(out.labels[0], [0, 0])
     assert np.array_equal(out.features[0], small_dataset().features)
@@ -127,7 +127,7 @@ def test_apply_data_attack_label_flip():
 def test_apply_data_attack_noisy_stays_clipped():
     spec = AttackSpec("noisy", low=-1.4, high=1.4, clip_lo=-1.0, clip_hi=1.0)
     pool = one_client_pool(small_dataset())
-    attacks.corrupt_pool(spec, pool, 1, 3, lambda cid: 5)
+    attacks.corrupt_pool(spec, pool, 1, lambda cid: 5)
     (out,) = pool.stacks
     assert out.features.min() >= -1.0
     assert out.features.max() <= 1.0
@@ -137,7 +137,7 @@ def test_apply_data_attack_noisy_stays_clipped():
 @pytest.mark.parametrize("kind", ["none", "byzantine_gaussian", "ipm", "alie"])
 def test_corrupt_pool_leaves_other_attacks_alone(kind):
     pool = one_client_pool(small_dataset())
-    attacks.corrupt_pool(AttackSpec(kind), pool, 1, 3, lambda cid: 0)
+    attacks.corrupt_pool(AttackSpec(kind), pool, 1, lambda cid: 0)
     (out,) = pool.stacks
     assert np.array_equal(out.features[0], small_dataset().features)
     assert np.array_equal(out.labels[0], small_dataset().labels)
@@ -147,25 +147,23 @@ def test_corrupt_pool_noise_bounds_and_zero_noise():
     ds = LabeledDataset(np.array([[0.5, -0.5], [1.5, -1.5]]), np.array([0, 0]), 1)
     noisy = one_client_pool(ds)
     spec = AttackSpec("noisy", low=-1.4, high=1.4, clip_lo=-1.0, clip_hi=1.0)
-    attacks.corrupt_pool(spec, noisy, 1, 1, lambda cid: 3)
+    attacks.corrupt_pool(spec, noisy, 1, lambda cid: 3)
     assert noisy.stacks[0].features.min() >= -1.0 and noisy.stacks[0].features.max() <= 1.0
     clipped = one_client_pool(ds)
     spec = AttackSpec("noisy", low=0.0, high=0.0, clip_lo=-1.0, clip_hi=1.0)
-    attacks.corrupt_pool(spec, clipped, 1, 1, lambda cid: 3)
+    attacks.corrupt_pool(spec, clipped, 1, lambda cid: 3)
     assert np.array_equal(clipped.stacks[0].features[0], np.clip(ds.features, -1.0, 1.0))
 
 
 def test_corrupt_pool_flip_labels():
     ds = LabeledDataset(np.zeros((3, 1)), np.array([0, 1, 2]), 3)
     pool = one_client_pool(ds)
-    attacks.corrupt_pool(AttackSpec("label_flip", target=0), pool, 1, 3, lambda cid: 0)
+    attacks.corrupt_pool(AttackSpec("label_flip", target=0), pool, 1, lambda cid: 0)
     assert np.array_equal(pool.stacks[0].labels[0], [0, 0, 0])
     already = LabeledDataset(np.zeros((2, 1)), np.array([0, 0]), 3)
     pool = one_client_pool(already)
-    attacks.corrupt_pool(AttackSpec("label_flip", target=0), pool, 1, 3, lambda cid: 0)
+    attacks.corrupt_pool(AttackSpec("label_flip", target=0), pool, 1, lambda cid: 0)
     assert np.array_equal(pool.stacks[0].labels[0], already.labels)
-    with pytest.raises(ValueError):
-        attacks.corrupt_pool(AttackSpec("label_flip", target=3), pool, 1, 3, lambda cid: 0)
 
 
 def test_submissions_fill_the_leading_malicious_rows():

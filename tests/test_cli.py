@@ -199,19 +199,63 @@ def test_bad_config_exits_2_before_output(tmp_path, capsys, overrides, message):
     assert not out.exists()
 
 
+def csv_data(tmp_path, test_classes=3, test_dim=4):
+    """A 3-class, 4-feature train CSV of 30 rows and a test CSV of the given shape."""
+    for name, classes, dim, seed in (("train.csv", 3, 4, 1), ("test.csv", test_classes, test_dim, 2)):
+        gen = ["gen-data", "--classes", str(classes), "--dim", str(dim), "--samples-per-class", "10"]
+        assert cli.main([*gen, "--seed", str(seed), "--out", str(tmp_path / name)]) == 0
+    return {"kind": "csv", "train_path": str(tmp_path / "train.csv"),
+            "test_path": str(tmp_path / "test.csv")}
+
+
 def test_csv_label_flip_target_out_of_range_exits_before_output(tmp_path, capsys):
     # A CSV's classes are known only once the file is loaded, so this config
-    # passes the parser and must fail at run time, before --out exists.
-    for name, seed in (("train.csv", 1), ("test.csv", 2)):
-        gen = ["gen-data", "--classes", "3", "--dim", "4", "--samples-per-class", "10"]
-        assert cli.main([*gen, "--seed", str(seed), "--out", str(tmp_path / name)]) == 0
-    csv_data = {"kind": "csv", "train_path": str(tmp_path / "train.csv"),
-                "test_path": str(tmp_path / "test.csv")}
+    # passes the parser and must fail when the data loads, before --out exists.
     attack = {"kind": "label_flip", "target": 5}
-    cfg_path = write_config(tmp_path, base_config(data=csv_data, attack=attack))
+    cfg_path = write_config(tmp_path, base_config(data=csv_data(tmp_path), attack=attack))
     out = tmp_path / "o"
-    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) != 0
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "target 5 out of range [0, 3)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, test_shape, message",
+    [
+        pytest.param(
+            {"n_clients": 40, "clients_per_round": 40}, {},
+            "need 40 samples for the iid plan, have 30", id="iid_more_clients_than_rows",
+        ),
+        pytest.param(
+            {"partition": {"scheme": "noniid_shards", "shards_per_client": 2, "shard_size": 5}}, {},
+            "need 40 samples for the shard plan, have 30", id="shard_plan_too_large",
+        ),
+        pytest.param(
+            {}, {"test_dim": 7}, "test set has 7 features, train set has 4", id="test_width",
+        ),
+        pytest.param(
+            {}, {"test_classes": 5}, "test label 4 out of range [0, 3) of the train set",
+            id="test_classes",
+        ),
+    ],
+)
+def test_csv_plan_its_data_cannot_fill_exits_2_before_output(
+    tmp_path, capsys, overrides, test_shape, message
+):
+    cfg = base_config(data=csv_data(tmp_path, **test_shape), **overrides)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_of_a_plan_its_data_cannot_fill_exits_2_before_output(tmp_path, capsys):
+    cfg = base_config(data=csv_data(tmp_path), n_clients=40, clients_per_round=40)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--fractions", "0.1", "--out", str(out)]) == 2
+    assert "need 40 samples for the iid plan, have 30" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -42,6 +42,11 @@ def random_dataset(rng, n, d, c):
     return LabeledDataset(X, y, c)
 
 
+def one_client(dataset):
+    """dataset as the one-client ClientStack local_train takes."""
+    return ClientStack(np.arange(1), dataset.features[None], dataset.labels[None])
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(local_steps=0)
@@ -214,10 +219,11 @@ def test_local_train_zero_steps_rejected_and_descends():
     model = Model(3, 2)
     ds = random_dataset(rng, 20, 3, 2)
     p0 = model.init_params(rng)
-    p1 = models.local_train(model, p0, ds, TrainConfig(local_steps=1, local_lr=0.01))
+    cfg = TrainConfig(local_steps=1, local_lr=0.01)
+    (p1,) = models.local_train(model, p0, one_client(ds), cfg)
     assert cross_entropy(model, p1, ds) <= cross_entropy(model, p0, ds)
     # and the input vector is not mutated
-    p1b = models.local_train(model, p0, ds, TrainConfig(local_steps=1, local_lr=0.01))
+    (p1b,) = models.local_train(model, p0, one_client(ds), cfg)
     assert np.array_equal(p1, p1b)
 
 
@@ -227,9 +233,9 @@ def test_local_train_minibatch_deterministic_by_seed():
     ds = random_dataset(rng, 30, 3, 2)
     p0 = model.init_params(rng)
     cfg = TrainConfig(local_steps=3, local_lr=0.05, batch_size=8)
-    a = models.local_train(model, p0, ds, cfg, seed=9)
-    b = models.local_train(model, p0, ds, cfg, seed=9)
-    c = models.local_train(model, p0, ds, cfg, seed=10)
+    a = models.local_train(model, p0, one_client(ds), cfg, [9])
+    b = models.local_train(model, p0, one_client(ds), cfg, [9])
+    c = models.local_train(model, p0, one_client(ds), cfg, [10])
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -344,7 +350,7 @@ def test_stacked_local_train_equals_per_client_loop(kind, K, N, batch):
     cfg = TrainConfig(local_steps=3, local_lr=0.1, batch_size=batch)
     p0 = model.init_params(rng)
     seeds = [1000 + k for k in range(K)]
-    out = models.local_train(model, p0, stack, cfg, seed=seeds)
+    out = models.local_train(model, p0, stack, cfg, seeds)
     assert out.shape == (K, model.dim)
     for k in range(K):
         ref = per_client_train(model, p0, client_rows(stack, k, 4), cfg, seeds[k])

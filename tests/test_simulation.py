@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from stpafl import simulation
 from stpafl.aggregation import AggregationRule
 from stpafl.attacks import AttackSpec
-from stpafl.data import LabeledDataset
 from stpafl.simulation import (
     BlobsDataConfig,
+    ConfigError,
     PartitionConfig,
     ScenarioConfig,
     derive_seed,
@@ -129,10 +130,7 @@ def test_single_client_fed_avg_identity():
     pool = simulation.setup_client_datasets(cfg, train)
     model = M.make_model("linear", train.n_features, train.n_classes)
     w0 = model.init_params(np.random.default_rng(derive_seed(3, 0)))
-    client0 = LabeledDataset(pool.stacks[0].features[0], pool.stacks[0].labels[0], train.n_classes)
-    expected = M.local_train(
-        model, w0, client0, cfg.train, seed=derive_seed(3, 4, 0, 0)
-    )
+    (expected,) = M.local_train(model, w0, pool.stacks[0], cfg.train)
     state = simulation.ExperimentState(
         global_model=w0,
         momentum=np.zeros(model.dim),
@@ -162,6 +160,24 @@ def test_noniid_shards_partition_used():
     pool = simulation.setup_client_datasets(cfg, train)
     assert all(n == 20 for n in pool.counts)
     assert all(len(set(row)) <= 1 for stack in pool.stacks for row in stack.labels)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n_clients": 200, "clients_per_round": 200}, "need 200 samples for the iid plan, have 160"),
+        (
+            {"partition": PartitionConfig(scheme="noniid_shards", shards_per_client=2, shard_size=20)},
+            "need 240 samples for the shard plan, have 160",
+        ),
+        ({"attack": AttackSpec("label_flip", target=4)}, "target 4 out of range [0, 4)"),
+    ],
+)
+def test_plan_checked_against_loaded_blobs(overrides, message):
+    # The config builds; the plan is checked once the data loads, before round 0.
+    cfg = small_cfg(**overrides)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_experiment(cfg)
 
 
 def test_benign_kept_fields():

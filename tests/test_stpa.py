@@ -13,7 +13,7 @@ from stpafl.vectors import ClientUpdate
 
 def mk(w_t, deltas):
     """Updates whose pseudo-gradients w_t - model equal the given deltas."""
-    return [ClientUpdate(0, i, w_t - d, 1) for i, d in enumerate(deltas)]
+    return [ClientUpdate(w_t - d, 1) for d in deltas]
 
 
 def planted_affinity(rng, sizes, within, cross):
@@ -120,7 +120,7 @@ def test_config_validation():
 def test_affinity_identical_models():
     w_t = np.array([1.0, 2.0])
     u = np.array([0.0, 1.0])
-    updates = [ClientUpdate(0, i, u, 1) for i in range(4)]
+    updates = [ClientUpdate(u, 1) for _ in range(4)]
     S = stpa.build_affinity(w_t, updates)
     assert np.allclose(S, np.ones((4, 4)))
 
@@ -144,9 +144,9 @@ def test_affinity_antiparallel_blocks():
 def test_affinity_zero_pseudo_gradient_row():
     w_t = np.array([1.0, 1.0])
     updates = [
-        ClientUpdate(0, 0, w_t, 1),  # reports exactly w_t
-        ClientUpdate(0, 1, np.array([0.0, 0.0]), 1),
-        ClientUpdate(0, 2, np.array([2.0, 2.0]), 1),
+        ClientUpdate(w_t, 1),  # reports exactly w_t
+        ClientUpdate(np.array([0.0, 0.0]), 1),
+        ClientUpdate(np.array([2.0, 2.0]), 1),
     ]
     S = stpa.build_affinity(w_t, updates)
     assert S[0, 1] == 0.0 and S[0, 2] == 0.0
@@ -381,7 +381,7 @@ def test_round_identical_models_hand_composed():
     # v = 0.5 delta, alpha = 1, so w1 = w_t - 0.5 (w_t - u)
     w_t = np.array([2.0, 0.0, -2.0])
     u = np.array([1.0, 1.0, 1.0])
-    updates = [ClientUpdate(0, i, u, 1) for i in range(5)]
+    updates = [ClientUpdate(u, 1) for _ in range(5)]
     outcome, state = stpa.stpa_round(w_t, updates, np.zeros(3), StpaConfig())
     assert outcome.benign_count == 5
     assert outcome.alpha == pytest.approx(1.0)
@@ -395,7 +395,7 @@ def test_round_discard_advances_momentum():
     u = np.array([-1.0, -1.0])  # delta_w = w_t - u = (1, 1)
     delta = w_t - u
     prior = -4.0 * delta
-    updates = [ClientUpdate(0, i, u, 1) for i in range(3)]
+    updates = [ClientUpdate(u, 1) for _ in range(3)]
     outcome, state = stpa.stpa_round(w_t, updates, prior, StpaConfig())
     assert outcome.discarded
     assert outcome.alpha == pytest.approx(-1.0)
@@ -424,7 +424,7 @@ def test_round_leaves_inputs_unchanged(prior_scale, discarded):
 
 def test_round_single_update():
     w_t = np.array([1.0, 0.0])
-    u = ClientUpdate(0, 0, np.array([0.0, 0.0]), 1)
+    u = ClientUpdate(np.array([0.0, 0.0]), 1)
     outcome, _ = stpa.stpa_round(w_t, [u], np.zeros(2), StpaConfig())
     assert outcome.benign_count == 1
     assert np.allclose(outcome.new_model, w_t - 0.5 * (w_t - u.model))
@@ -441,10 +441,10 @@ def test_round_filters_coordinated_attackers():
     updates = []
     for i in range(13):
         delta = honest_dir + 0.05 * rng.standard_normal(dim)
-        updates.append(ClientUpdate(0, i, w_t - delta, 1))
+        updates.append(ClientUpdate(w_t - delta, 1))
     for i in range(13, 20):
         delta = -honest_dir + 0.05 * rng.standard_normal(dim)
-        updates.append(ClientUpdate(0, i, w_t - delta, 1))
+        updates.append(ClientUpdate(w_t - delta, 1))
     S = stpa.build_affinity(w_t, updates)
     part = stpa.partition_round(S, 0.02)
     assert part.cross_similarity < 0.02
@@ -462,9 +462,9 @@ def test_round_uncoordinated_attackers_keep_union():
     updates = []
     for i in range(13):
         delta = honest_dir + 0.05 * rng.standard_normal(dim)
-        updates.append(ClientUpdate(0, i, w_t - delta, 1))
+        updates.append(ClientUpdate(w_t - delta, 1))
     for i in range(13, 20):
-        updates.append(ClientUpdate(0, i, rng.normal(0.0, 20.0, size=dim), 1))
+        updates.append(ClientUpdate(rng.normal(0.0, 20.0, size=dim), 1))
     S = stpa.build_affinity(w_t, updates)
     part = stpa.partition_round(S, 0.02)
     if part.cross_similarity >= 0.02:

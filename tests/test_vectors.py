@@ -48,14 +48,10 @@ def test_as_vector_rejects_nonfinite_and_matrix():
 
 
 def test_client_update_validation():
-    u = ClientUpdate(0, 3, [1.0, 2.0], 10)
+    u = ClientUpdate([1.0, 2.0], 10)
     assert u.dim == 2
     assert u.model.dtype == np.float64
     with pytest.raises(ValueError):
-        ClientUpdate(-1, 0, [1.0], 1)
+        ClientUpdate([1.0], 0)
     with pytest.raises(ValueError):
-        ClientUpdate(0, -1, [1.0], 1)
-    with pytest.raises(ValueError):
-        ClientUpdate(0, 0, [1.0], 0)
-    with pytest.raises(ValueError):
-        ClientUpdate(0, 0, [np.nan], 1)
+        ClientUpdate([np.nan], 1)
