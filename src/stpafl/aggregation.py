@@ -1,4 +1,4 @@
-"""Baseline Byzantine-resilient aggregation rules over a round's updates."""
+"""Baseline Byzantine-resilient aggregation rules over a round's (n, d) submissions."""
 
 from __future__ import annotations
 
@@ -31,22 +31,20 @@ class AggregationRule:
                 raise ValueError("krum requires m >= 1")
 
 
-def _stack(updates: list[ClientUpdate]) -> np.ndarray:
-    """The (n, d) array of the submitted models; mismatched d raises ValueError."""
-    if not updates:
+def _check_roster(X: np.ndarray) -> None:
+    if len(X) == 0:
         raise ValueError("empty update list")
-    return np.array([u.model for u in updates])
 
 
-def fed_avg(updates: list[ClientUpdate]) -> np.ndarray:
-    """Mean weighted by each client's sample count."""
-    X = _stack(updates)
-    counts = np.array([u.sample_count for u in updates], dtype=np.float64)
+def fed_avg(X: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of the rows of X weighted by each client's sample count."""
+    _check_roster(X)
+    counts = np.asarray(counts, dtype=np.float64)
     weights = counts / counts.sum()
     return weights @ X
 
 
-def coordinate_median(updates: list[ClientUpdate]) -> np.ndarray:
+def coordinate_median(X: np.ndarray) -> np.ndarray:
     """Per-coordinate median; even counts average the two middle values.
 
     One full sort, then the mean of the middle one or two rows. That is the
@@ -54,17 +52,17 @@ def coordinate_median(updates: list[ClientUpdate]) -> np.ndarray:
     included) on finite input; at roster sizes the sort is cheaper than
     np.median's partition.
     """
-    X = _stack(updates)
+    _check_roster(X)
     n = X.shape[0]
     S = np.sort(X, axis=0)
     return S[(n - 1) // 2 : n // 2 + 1].mean(axis=0)
 
 
-def trimmed_mean(updates: list[ClientUpdate], gamma: float) -> np.ndarray:
+def trimmed_mean(X: np.ndarray, gamma: float) -> np.ndarray:
     """Per coordinate: drop floor(gamma*n) values from each end, mean the rest."""
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must be in (0, 0.5)")
-    X = _stack(updates)
+    _check_roster(X)
     n = X.shape[0]
     k = int(np.floor(gamma * n))
     S = np.sort(X, axis=0)
@@ -73,7 +71,7 @@ def trimmed_mean(updates: list[ClientUpdate], gamma: float) -> np.ndarray:
 
 def krum_scores(updates: list[ClientUpdate], f: int) -> np.ndarray:
     """Score per update: sum of Euclidean distances to its n-f-2 nearest peers."""
-    X = _stack(updates)
+    X = np.array([u.model for u in updates])
     n, d = X.shape
     if n - f - 2 < 1:
         raise ValueError(f"krum needs n - f - 2 >= 1, got n={n}, f={f}")
@@ -92,28 +90,30 @@ def krum_scores(updates: list[ClientUpdate], f: int) -> np.ndarray:
     return D[:, 1 : n - f - 1].sum(axis=1)
 
 
-def krum_selection(updates: list[ClientUpdate], f: int, m: int) -> list[int]:
-    """Indices of the m lowest-scoring updates; ties go to the earlier one."""
-    n = len(updates)
+def krum_selection(X: np.ndarray, f: int, m: int) -> list[int]:
+    """Indices of the m lowest-scoring rows of X; ties go to the earlier one."""
+    n = len(X)
     if not 1 <= m <= n - f - 2:
         raise ValueError(f"krum needs 1 <= m <= n - f - 2, got m={m}, n={n}, f={f}")
+    # krum_scores keeps its list argument: the benchmark's tracer reads the
+    # first update's dim to size the Krum tensor.
+    updates = [ClientUpdate(x, 1) for x in X]
     return np.argsort(krum_scores(updates, f), kind="stable")[:m].tolist()
 
 
-def krum(updates: list[ClientUpdate], f: int, m: int) -> np.ndarray:
-    """Unweighted mean of the m lowest-scoring updates."""
-    selected = krum_selection(updates, f, m)
-    return np.array([updates[k].model for k in selected]).mean(axis=0)
+def krum(X: np.ndarray, f: int, m: int) -> np.ndarray:
+    """Unweighted mean of the m lowest-scoring rows of X."""
+    return X[krum_selection(X, f, m)].mean(axis=0)
 
 
-def apply_rule(rule: AggregationRule, updates: list[ClientUpdate]) -> np.ndarray:
-    """Dispatch a baseline rule. The stpa rule is handled by the stpa module."""
+def apply_rule(rule: AggregationRule, X: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Dispatch a baseline rule on the rows of X. The stpa rule is handled by the stpa module."""
     if rule.kind == "fed_avg":
-        return fed_avg(updates)
+        return fed_avg(X, counts)
     if rule.kind == "coordinate_median":
-        return coordinate_median(updates)
+        return coordinate_median(X)
     if rule.kind == "trimmed_mean":
-        return trimmed_mean(updates, rule.gamma)
+        return trimmed_mean(X, rule.gamma)
     if rule.kind == "krum":
-        return krum(updates, rule.f, rule.m)
+        return krum(X, rule.f, rule.m)
     raise ValueError(f"rule {rule.kind} is not a baseline aggregator")

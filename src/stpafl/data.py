@@ -74,15 +74,16 @@ class ClientPool:
     """Every client's dataset, one ClientStack per distinct size."""
 
     stacks: list  # ClientStack, by ascending size
-    counts: list  # samples per client, indexed by client id
+    counts: np.ndarray  # (n_clients,) int64 samples per client, indexed by client id
 
     @classmethod
     def from_partition(cls, dataset: LabeledDataset, assignments: list):
         """Stack each client's rows of dataset."""
-        counts = [len(idx) for idx in assignments]
+        counts = np.array([len(idx) for idx in assignments], dtype=np.int64)
         stacks = []
-        for n in sorted(set(counts)):
-            ids = np.array([cid for cid, c in enumerate(counts) if c == n], dtype=np.int64)
+        # sorted(set()) rather than np.unique, whose first call imports numpy.ma.
+        for n in sorted(set(counts.tolist())):
+            ids = np.flatnonzero(counts == n)
             rows = np.stack([assignments[cid] for cid in ids])
             stacks.append(ClientStack(ids, dataset.features[rows], dataset.labels[rows]))
         return cls(stacks, counts)
@@ -234,11 +235,13 @@ def load_csv(path) -> LabeledDataset:
         if not first.startswith("# n_classes="):
             raise ValueError(f"{path}: missing n_classes header line")
         n_classes = int(first.split("=", 1)[1])
-        fh.readline()  # column header
+        width = len(fh.readline().split(",")) - 1  # column header: label, then features
         labels = []
         rows = []
         for line in fh:
             parts = line.rstrip("\n").split(",")
             labels.append(int(parts[0]))
             rows.append([float(x) for x in parts[1:]])
-    return LabeledDataset(np.array(rows), np.array(labels, dtype=np.int64), n_classes)
+    # A file without rows takes its width from the header, so it loads as (0, width).
+    features = np.array(rows, dtype=np.float64) if rows else np.empty((0, width))
+    return LabeledDataset(features, np.array(labels, dtype=np.int64), n_classes)

@@ -17,7 +17,6 @@ from .aggregation import AggregationRule, apply_rule
 from .attacks import AttackSpec
 from .models import TrainConfig
 from .stpa import StepOutcome, StpaConfig, stpa_round
-from .vectors import ClientUpdate
 
 
 class ConfigError(ValueError):
@@ -199,9 +198,11 @@ def check_data(cfg: ScenarioConfig, train: data.LabeledDataset, test: data.Label
         raise ConfigError(f"need {needed} samples for the {plan} plan, have {have}")
     if cfg.attack.kind == "label_flip" and cfg.attack.target >= train.n_classes:
         raise ConfigError(f"target {cfg.attack.target} out of range [0, {train.n_classes})")
+    if len(test) == 0:
+        raise ConfigError("test set is empty")
     if test.n_features != train.n_features:
         raise ConfigError(f"test set has {test.n_features} features, train set has {train.n_features}")
-    if len(test) and test.labels.max() >= train.n_classes:
+    if test.labels.max() >= train.n_classes:
         raise ConfigError(
             f"test label {test.labels.max()} out of range [0, {train.n_classes}) of the train set"
         )
@@ -264,11 +265,14 @@ def run_round(
     submitted = attacks.submissions(
         cfg.attack, w_t, rows, mal_ids, lambda cid: derive_seed(cfg.seed, 5, r, cid)
     )
-    updates = [ClientUpdate(x, pool.counts[cid]) for x, cid in zip(submitted, selected)]
+    # One finiteness check per round, before any rule sees the rows.
+    if not np.isfinite(submitted).all():
+        raise ValueError("vector contains NaN or infinity")
+    counts = pool.counts[selected]
     if cfg.rule.kind == "stpa":
-        outcome, state.momentum = stpa_round(w_t, updates, state.momentum, cfg.stpa)
+        outcome, state.momentum = stpa_round(w_t, submitted, counts, state.momentum, cfg.stpa)
     else:
-        outcome = StepOutcome(apply_rule(cfg.rule, updates), None, None, False, len(updates))
+        outcome = StepOutcome(apply_rule(cfg.rule, submitted, counts), None, None, False, len(counts))
 
     state.global_model = outcome.new_model
     state.round_index = r + 1

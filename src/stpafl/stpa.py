@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import AggregationRule, apply_rule
-from .vectors import ClientUpdate
 
 # Norms below this are treated as zero for cosine similarity.
 ZERO_NORM_EPS = 1e-12
@@ -84,27 +83,27 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 PAIRWISE_MAX_SLOTS = 4
 
 
-def build_affinity(global_model: np.ndarray, updates: list[ClientUpdate]) -> np.ndarray:
-    """Pairwise cosine similarities of pseudo-gradients w_t - w^i, diagonal 1.
+def build_affinity(global_model: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarities of the pseudo-gradients w_t - x of X's rows; diagonal 1.
 
     Rows with norm below ZERO_NORM_EPS get similarity 0 to every other row,
     as in cosine_similarity. The result is exactly symmetric.
     """
-    n = len(updates)
+    n = len(X)
     if n < 2:
         raise ValueError("need at least 2 updates to build an affinity matrix")
     if n <= PAIRWISE_MAX_SLOTS:
-        deltas = [global_model - u.model for u in updates]
+        deltas = [global_model - x for x in X]
         S = np.ones((n, n))
         for i in range(n):
             for j in range(i + 1, n):
                 S[i, j] = S[j, i] = cosine_similarity(deltas[i], deltas[j])
         return S
-    X = global_model - np.array([u.model for u in updates])
-    norms = np.linalg.norm(X, axis=1)
+    G = global_model - X
+    norms = np.linalg.norm(G, axis=1)
     live = norms >= ZERO_NORM_EPS
     norms[~live] = 1.0
-    S = (X @ X.T) / np.outer(norms, norms)
+    S = (G @ G.T) / np.outer(norms, norms)
     S[~live] = 0.0
     S[:, ~live] = 0.0
     np.clip(S, -1.0, 1.0, out=S)
@@ -188,26 +187,26 @@ def adaptive_update(
 
 def stpa_round(
     w_t: np.ndarray,
-    updates: list[ClientUpdate],
+    X: np.ndarray,
+    counts: np.ndarray,
     v: np.ndarray,
     cfg: StpaConfig,
 ) -> tuple[StepOutcome, np.ndarray]:
-    """One full round: spatial filter, inner aggregation, temporal gate.
+    """One full round over the (n, d) submissions X and their sample counts.
 
-    Returns the outcome and the updated v, which advances even when the step
-    is discarded. w_t, the submitted models and the incoming v are not
-    modified.
+    Spatial filter, inner aggregation of the kept rows, temporal gate. Returns
+    the outcome and the updated v, which advances even when the step is
+    discarded. w_t, X and the incoming v are not modified.
     """
-    if not updates:
+    if len(X) == 0:
         raise ValueError("empty update list")
-    if len(updates) == 1:
-        benign = (0,)
+    if len(X) == 1:
+        benign = [0]
     else:
-        S = build_affinity(w_t, updates)
-        part = partition_round(S, cfg.s_t)
-        benign = part.benign
-    kept = [updates[k] for k in benign]
-    aggregated = apply_rule(cfg.inner_rule, kept)
+        S = build_affinity(w_t, X)
+        benign = list(partition_round(S, cfg.s_t).benign)
+    # benign is ascending, so the kept rows stay in slot order.
+    aggregated = apply_rule(cfg.inner_rule, X[benign], counts[benign])
     delta_w = w_t - aggregated
     v = momentum_step(v, delta_w, cfg.beta)
     return adaptive_update(w_t, v, delta_w, cfg.eta0, len(benign)), v

@@ -1,6 +1,7 @@
-"""Flat parameter vectors and ClientUpdate.
+"""ClientUpdate: one submitted model with its sample count.
 
-Vectors are 1-D float64 numpy arrays.
+Rounds pass their submissions as one (n, d) array; krum_scores alone still
+takes a list of these, built from that array's rows.
 """
 
 from __future__ import annotations
@@ -8,16 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def as_vector(values) -> np.ndarray:
-    """Coerce to a flat float64 vector, rejecting NaN/inf."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a flat vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector contains NaN or infinity")
-    return v
 
 
 @dataclass(frozen=True)
@@ -30,7 +21,7 @@ class ClientUpdate:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        object.__setattr__(self, "model", as_vector(self.model))
+        object.__setattr__(self, "model", np.asarray(self.model, dtype=np.float64))
 
     @property
     def dim(self) -> int:

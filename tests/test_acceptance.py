@@ -24,7 +24,6 @@ from stpafl.simulation import (
     select_clients,
 )
 from stpafl.stpa import StpaConfig
-from stpafl.vectors import ClientUpdate
 
 SEED = 42
 
@@ -40,7 +39,8 @@ def final10(logs):
 
 
 def mk_updates(X):
-    return [ClientUpdate(x, 1) for x in X]
+    """The (n, d) submissions X and a sample count of 1 each."""
+    return X, np.ones(len(X), dtype=np.int64)
 
 
 # ------------------------------------------------------------ shared runs
@@ -156,7 +156,7 @@ def test_criterion_1_aggregator_oracles():
         n = int(rng.integers(3, 26))
         d = int(rng.integers(1, 51))
         X = rng.standard_normal((n, d))
-        u = mk_updates(X)
+        u, _ = mk_updates(X)
 
         med = aggregation.coordinate_median(u)
         med_oracle = np.empty(d)

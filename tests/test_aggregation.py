@@ -12,10 +12,16 @@ from stpafl.vectors import ClientUpdate
 
 
 def mk(models, counts=None):
-    models = [np.asarray(m, dtype=np.float64) for m in models]
+    """The (n, d) submissions and their sample counts (1 each by default)."""
+    X = np.array(models, dtype=np.float64)
     if counts is None:
-        counts = [1] * len(models)
-    return [ClientUpdate(m, c) for m, c in zip(models, counts)]
+        counts = [1] * len(X)
+    return X, np.array(counts, dtype=np.int64)
+
+
+def as_updates(X):
+    """krum_scores' list form of the rows of X."""
+    return [ClientUpdate(x, 1) for x in X]
 
 
 # ---------------------------------------------------------------- oracles
@@ -55,9 +61,8 @@ def krum_oracle(X, f, m):
     return order[:m]
 
 
-def krum_scores_reference(updates, f):
+def krum_scores_reference(X, f):
     """Full n x n x d difference tensor, then per-row sorted partial sums."""
-    X = np.stack([u.model for u in updates])
     n = X.shape[0]
     diffs = X[:, None, :] - X[None, :, :]
     D = np.sqrt((diffs * diffs).sum(axis=2))
@@ -72,83 +77,82 @@ def krum_scores_reference(updates, f):
 # ---------------------------------------------------------------- fed_avg
 
 def test_fed_avg_single_update_identity():
-    u = mk([[1.0, -2.0, 3.0]])
-    assert np.array_equal(apply_rule(AggregationRule("fed_avg"), u), u[0].model)
+    X, counts = mk([[1.0, -2.0, 3.0]])
+    assert np.array_equal(apply_rule(AggregationRule("fed_avg"), X, counts), X[0])
 
 
 def test_fed_avg_equal_counts():
-    out = aggregation.fed_avg(mk([[1.0, 3.0], [3.0, 5.0]]))
+    out = aggregation.fed_avg(*mk([[1.0, 3.0], [3.0, 5.0]]))
     assert np.allclose(out, [2.0, 4.0])
 
 
 def test_fed_avg_weighted():
-    out = aggregation.fed_avg(mk([[0.0], [4.0]], counts=[1, 3]))
+    out = aggregation.fed_avg(*mk([[0.0], [4.0]], counts=[1, 3]))
     assert np.allclose(out, [3.0])
 
 
 # ---------------------------------------------------------------- median
 
 def test_median_odd_outlier_robust():
-    out = aggregation.coordinate_median(mk([[1.0], [2.0], [100.0]]))
+    out = aggregation.coordinate_median(mk([[1.0], [2.0], [100.0]])[0])
     assert out[0] == 2.0
 
 
 def test_median_even_count_convention():
-    out = aggregation.coordinate_median(mk([[1.0], [3.0]]))
+    out = aggregation.coordinate_median(mk([[1.0], [3.0]])[0])
     assert out[0] == 2.0
 
 
 def test_median_identical_fixpoint():
-    u = mk([[1.0, 2.0]] * 5)
-    assert np.array_equal(aggregation.coordinate_median(u), u[0].model)
+    X, _ = mk([[1.0, 2.0]] * 5)
+    assert np.array_equal(aggregation.coordinate_median(X), X[0])
 
 
 # ---------------------------------------------------------------- trimmed mean
 
 def test_trimmed_mean_drops_extremes():
-    out = aggregation.trimmed_mean(mk([[0.0], [1.0], [2.0], [3.0], [1000.0]]), 0.2)
+    out = aggregation.trimmed_mean(mk([[0.0], [1.0], [2.0], [3.0], [1000.0]])[0], 0.2)
     assert out[0] == 2.0
 
 
 def test_trimmed_mean_degenerate_trim_is_plain_mean():
-    u = mk([[1.0], [2.0], [4.0]])
-    out = aggregation.trimmed_mean(u, 0.1)  # floor(0.3) = 0
+    X, _ = mk([[1.0], [2.0], [4.0]])
+    out = aggregation.trimmed_mean(X, 0.1)  # floor(0.3) = 0
     assert out[0] == pytest.approx(7.0 / 3.0)
 
 
 def test_trimmed_mean_gamma_bounds():
-    u = mk([[1.0], [2.0]])
+    X, _ = mk([[1.0], [2.0]])
     with pytest.raises(ValueError):
-        aggregation.trimmed_mean(u, 0.0)
+        aggregation.trimmed_mean(X, 0.0)
     with pytest.raises(ValueError):
-        aggregation.trimmed_mean(u, 0.5)
+        aggregation.trimmed_mean(X, 0.5)
 
 
 # ---------------------------------------------------------------- krum
 
 def test_krum_identical_updates():
-    u = mk([[2.0, -1.0]] * 5)
-    scores = aggregation.krum_scores(u, 1)
+    X, _ = mk([[2.0, -1.0]] * 5)
+    scores = aggregation.krum_scores(as_updates(X), 1)
     assert np.array_equal(scores, np.zeros(5))
-    assert np.array_equal(aggregation.krum(u, 1, 1), u[0].model)
+    assert np.array_equal(aggregation.krum(X, 1, 1), X[0])
 
 
 def test_krum_hand_example():
     # 1-D points {0, 0.1, 0.2, 100}, f=1, m=1: each score is the single
     # nearest-neighbor distance; slots 0-2 all score 0.1 but the outlier
     # scores 99.8, and the tie goes to the smallest slot.
-    u = mk([[0.0], [0.1], [0.2], [100.0]])
-    scores = aggregation.krum_scores(u, 1)
+    X, _ = mk([[0.0], [0.1], [0.2], [100.0]])
+    scores = aggregation.krum_scores(as_updates(X), 1)
     assert np.allclose(scores, [0.1, 0.1, 0.1, 99.8])
-    assert aggregation.krum_selection(u, 1, 1) == [0]
-    assert np.array_equal(aggregation.krum(u, 1, 1), np.array([0.0]))
+    assert aggregation.krum_selection(X, 1, 1) == [0]
+    assert np.array_equal(aggregation.krum(X, 1, 1), np.array([0.0]))
 
 
 def test_krum_matches_oracle():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((8, 4))
-    u = mk(list(X))
-    assert aggregation.krum_selection(u, 2, 3) == krum_oracle(X, 2, 3)
+    assert aggregation.krum_selection(X, 2, 3) == krum_oracle(X, 2, 3)
 
 
 @pytest.mark.parametrize(
@@ -175,18 +179,17 @@ def test_krum_scores_match_reference(n, d, f, integer):
         X = rng.standard_normal((n, d))
         X[1] = X[0]  # a duplicate gives an exact zero distance
         X *= rng.uniform(0.1, 100.0, size=(n, 1))
-    u = mk(list(X))
-    got, want = aggregation.krum_scores(u, f), krum_scores_reference(u, f)
+    got, want = aggregation.krum_scores(as_updates(X), f), krum_scores_reference(X, f)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_krum_parameter_validation():
-    u = mk([[0.0]] * 4)
+    X, _ = mk([[0.0]] * 4)
     with pytest.raises(ValueError):
-        aggregation.krum_scores(u, 2)  # n - f - 2 = 0
+        aggregation.krum_scores(as_updates(X), 2)  # n - f - 2 = 0
     with pytest.raises(ValueError):
-        aggregation.krum_selection(u, 1, 2)  # m > n - f - 2
+        aggregation.krum_selection(X, 1, 2)  # m > n - f - 2
 
 
 # ---------------------------------------------------------------- shared checks
@@ -199,15 +202,12 @@ def test_rule_validation():
     with pytest.raises(ValueError):
         AggregationRule("krum", f=1)  # m required
     with pytest.raises(ValueError):
-        apply_rule(AggregationRule("stpa"), mk([[0.0]]))
+        apply_rule(AggregationRule("stpa"), *mk([[0.0]]))
 
 
 def test_empty_and_mismatched_updates_rejected():
     with pytest.raises(ValueError):
-        aggregation.fed_avg([])
-    bad = [ClientUpdate([1.0], 1), ClientUpdate([1.0, 2.0], 1)]
-    with pytest.raises(ValueError):
-        aggregation.coordinate_median(bad)
+        aggregation.fed_avg(np.empty((0, 1)), np.empty(0, dtype=np.int64))
 
 
 def matrices(bound):
@@ -221,11 +221,11 @@ def matrices(bound):
 @given(matrices(1e6), st.data())
 def test_permutation_invariance(X, data):
     perm = np.array(data.draw(st.permutations(range(len(X)))))
-    a = aggregation.coordinate_median(mk(list(X)))
-    b = aggregation.coordinate_median(mk(list(X[perm])))
+    a = aggregation.coordinate_median(X)
+    b = aggregation.coordinate_median(X[perm])
     assert np.array_equal(a, b)
-    a = aggregation.trimmed_mean(mk(list(X)), 0.2)
-    b = aggregation.trimmed_mean(mk(list(X[perm])), 0.2)
+    a = aggregation.trimmed_mean(X, 0.2)
+    b = aggregation.trimmed_mean(X[perm], 0.2)
     assert np.allclose(a, b, rtol=0, atol=1e-15)
 
 
@@ -234,7 +234,7 @@ def test_permutation_invariance(X, data):
 def test_translation_equivariance(X, data):
     c = data.draw(hnp.arrays(np.float64, X.shape[1], elements=st.floats(-1e3, 1e3)))
     for rule in (aggregation.coordinate_median, lambda u: aggregation.trimmed_mean(u, 0.2)):
-        assert np.allclose(rule(mk(list(X + c))), rule(mk(list(X))) + c)
+        assert np.allclose(rule(X + c), rule(X) + c)
 
 
 @st.composite
@@ -255,7 +255,7 @@ def rows_with_duplicates(draw):
 @given(rows_with_duplicates())
 def test_median_equals_numpy_median_bitwise(X):
     with np.errstate(over="ignore"):
-        got = aggregation.coordinate_median(mk(list(X)))
+        got = aggregation.coordinate_median(X)
         want = np.median(X, axis=0)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -265,8 +265,8 @@ def test_median_breakdown_against_minority_outliers():
     # 3 coordinated outliers out of 7 cannot move the coordinate median
     # outside the honest range.
     honest = [[1.0], [1.1], [0.9], [1.05]]
-    u = mk(honest + [[1e6]] * 3)
-    out = aggregation.coordinate_median(u)
+    X, _ = mk(honest + [[1e6]] * 3)
+    out = aggregation.coordinate_median(X)
     assert 0.9 <= out[0] <= 1.1
 
 
@@ -276,10 +276,9 @@ def test_random_instances_match_oracles():
         n = int(rng.integers(3, 15))
         d = int(rng.integers(1, 10))
         X = rng.standard_normal((n, d))
-        u = mk(list(X))
-        assert np.array_equal(aggregation.coordinate_median(u), median_oracle(X))
+        assert np.array_equal(aggregation.coordinate_median(X), median_oracle(X))
         gamma = float(rng.uniform(0.05, 0.45))
         if n - 2 * int(np.floor(gamma * n)) >= 1:
-            got = aggregation.trimmed_mean(u, gamma)
+            got = aggregation.trimmed_mean(X, gamma)
             want = trimmed_oracle(X, gamma)
             assert np.allclose(got, want, rtol=0, atol=1e-12)

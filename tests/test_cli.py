@@ -250,6 +250,42 @@ def test_csv_plan_its_data_cannot_fill_exits_2_before_output(
     assert not out.exists()
 
 
+def test_csv_test_set_without_rows_exits_2_before_output(tmp_path, capsys):
+    data_cfg = csv_data(tmp_path)
+    (tmp_path / "test.csv").write_text("# n_classes=3\nlabel,f0,f1,f2,f3\n")
+    cfg_path = write_config(tmp_path, base_config(data=data_cfg))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "test set is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        {"kind": "fed_avg"},
+        {"kind": "coordinate_median"},
+        {"kind": "trimmed_mean", "gamma": 0.2},
+        {"kind": "krum", "f": 6, "m": 1},
+        {"kind": "stpa"},
+    ],
+    ids=lambda rule: rule["kind"],
+)
+def test_non_finite_submissions_exit_1_before_output(tmp_path, capsys, rule):
+    # Gaussian draws at sigma 1e308 overflow to inf in round 0.
+    cfg = base_config(
+        n_clients=20,
+        n_malicious=6,
+        clients_per_round=20,
+        attack={"kind": "byzantine_gaussian", "sigma": 1e308},
+        rule=rule,
+    )
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert "vector contains NaN or infinity" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_of_a_plan_its_data_cannot_fill_exits_2_before_output(tmp_path, capsys):
     cfg = base_config(data=csv_data(tmp_path), n_clients=40, clients_per_round=40)
     cfg_path = write_config(tmp_path, cfg)

@@ -180,3 +180,12 @@ def test_csv_same_dataset_same_bytes(tmp_path):
     data.save_csv(ds, p1)
     data.save_csv(ds, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_csv_without_rows_loads_header_width(tmp_path):
+    ds = data.generate_blobs(3, 4, 10, 0.9, 17).subset([])
+    p = tmp_path / "empty.csv"
+    data.save_csv(ds, p)
+    back = data.load_csv(p)
+    assert back.features.shape == (0, 4)
+    assert len(back.labels) == 0 and back.n_classes == 3

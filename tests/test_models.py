@@ -407,7 +407,7 @@ def test_pool_rows_equal_corrupted_partition(attack):
     train, _ = simulation.build_data(cfg)
     pool = simulation.setup_client_datasets(cfg, train)
     plan = partition_iid(train, cfg.n_clients, derive_seed(cfg.seed, 2))
-    assert pool.counts == [len(idx) for idx in plan] == [7, 7, 7, 6, 6, 6, 6]
+    assert pool.counts.tolist() == [len(idx) for idx in plan] == [7, 7, 7, 6, 6, 6, 6]
     seen = []
     for stack in pool.stacks:
         assert np.all(np.diff(stack.ids) > 0)

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from stpafl import simulation
+from stpafl import attacks, simulation
 from stpafl.aggregation import AggregationRule
 from stpafl.attacks import AttackSpec
 from stpafl.simulation import (
@@ -224,3 +224,18 @@ def test_omniscient_attacks_run_with_one_honest_client():
         logs = run_experiment(cfg)
         assert len(logs) == 3
         assert all(0.0 <= log.test_error_pct <= 100.0 for log in logs)
+
+
+@pytest.mark.parametrize("rule", ["stpa", "coordinate_median"])
+def test_round_with_a_nan_row_raises(monkeypatch, rule):
+    # run_round checks the round's stacked submissions once, before any rule.
+    submissions = attacks.submissions
+
+    def with_nan_row(*args):
+        rows = submissions(*args)
+        rows[3, 0] = np.nan
+        return rows
+
+    monkeypatch.setattr(attacks, "submissions", with_nan_row)
+    with pytest.raises(ValueError, match="vector contains NaN or infinity"):
+        run_experiment(small_cfg(rule=AggregationRule(rule)))

@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 from stpafl import stpa
 from stpafl.aggregation import AggregationRule
 from stpafl.stpa import StpaConfig, cosine_similarity
-from stpafl.vectors import ClientUpdate
+
+
+def stacked(models):
+    """The (n, d) submissions of the given models, and a sample count of 1 each."""
+    X = np.array(models, dtype=np.float64)
+    return X, np.ones(len(X), dtype=np.int64)
 
 
 def mk(w_t, deltas):
-    """Updates whose pseudo-gradients w_t - model equal the given deltas."""
-    return [ClientUpdate(w_t - d, 1) for d in deltas]
+    """Submissions whose pseudo-gradients w_t - x equal the given deltas, with their counts."""
+    return stacked([w_t - d for d in deltas])
 
 
 def planted_affinity(rng, sizes, within, cross):
@@ -50,9 +55,9 @@ def minmax_bipartition_oracle(S):
     return frozenset([frozenset(best[0]), frozenset(best[1])])
 
 
-def pairwise_affinity_reference(w_t, updates):
+def pairwise_affinity_reference(w_t, X):
     """One scalar cosine_similarity call per pair, diagonal 1."""
-    deltas = [w_t - u.model for u in updates]
+    deltas = [w_t - x for x in X]
     n = len(deltas)
     S = np.ones((n, n))
     for i in range(n):
@@ -120,16 +125,16 @@ def test_config_validation():
 def test_affinity_identical_models():
     w_t = np.array([1.0, 2.0])
     u = np.array([0.0, 1.0])
-    updates = [ClientUpdate(u, 1) for _ in range(4)]
-    S = stpa.build_affinity(w_t, updates)
+    X, _ = stacked([u] * 4)
+    S = stpa.build_affinity(w_t, X)
     assert np.allclose(S, np.ones((4, 4)))
 
 
 def test_affinity_antiparallel_blocks():
     w_t = np.zeros(3)
     g = np.array([1.0, -1.0, 2.0])
-    updates = mk(w_t, [g, 2 * g, -g, -0.5 * g])
-    S = stpa.build_affinity(w_t, updates)
+    X, _ = mk(w_t, [g, 2 * g, -g, -0.5 * g])
+    S = stpa.build_affinity(w_t, X)
     want = np.array(
         [
             [1.0, 1.0, -1.0, -1.0],
@@ -143,12 +148,14 @@ def test_affinity_antiparallel_blocks():
 
 def test_affinity_zero_pseudo_gradient_row():
     w_t = np.array([1.0, 1.0])
-    updates = [
-        ClientUpdate(w_t, 1),  # reports exactly w_t
-        ClientUpdate(np.array([0.0, 0.0]), 1),
-        ClientUpdate(np.array([2.0, 2.0]), 1),
-    ]
-    S = stpa.build_affinity(w_t, updates)
+    X, _ = stacked(
+        [
+            w_t,  # reports exactly w_t
+            np.array([0.0, 0.0]),
+            np.array([2.0, 2.0]),
+        ]
+    )
+    S = stpa.build_affinity(w_t, X)
     assert S[0, 1] == 0.0 and S[0, 2] == 0.0
     assert S[0, 0] == 1.0
 
@@ -157,8 +164,8 @@ def test_affinity_scale_invariance():
     rng = np.random.default_rng(2)
     w_t = rng.standard_normal(6)
     deltas = [rng.standard_normal(6) for _ in range(5)]
-    S1 = stpa.build_affinity(w_t, mk(w_t, deltas))
-    S2 = stpa.build_affinity(w_t, mk(w_t, [3.5 * d for d in deltas]))
+    S1 = stpa.build_affinity(w_t, mk(w_t, deltas)[0])
+    S2 = stpa.build_affinity(w_t, mk(w_t, [3.5 * d for d in deltas])[0])
     assert np.allclose(S1, S2)
 
 
@@ -170,9 +177,9 @@ def test_affinity_matches_pairwise_cosine(n, zero_rows):
     w_t = rng.standard_normal(210)
     deltas = rng.standard_normal((n, 210)) * rng.uniform(1e-3, 1e3, size=(n, 1))
     deltas[list(zero_rows)] *= 1e-20  # nonzero, but below ZERO_NORM_EPS
-    updates = mk(w_t, list(deltas))
-    S = stpa.build_affinity(w_t, updates)
-    want = pairwise_affinity_reference(w_t, updates)
+    X, _ = mk(w_t, list(deltas))
+    S = stpa.build_affinity(w_t, X)
+    want = pairwise_affinity_reference(w_t, X)
     assert np.max(np.abs(S - want)) <= 4e-15
     assert np.array_equal(S, S.T)
     for i in zero_rows:
@@ -197,9 +204,9 @@ def test_duplicate_rows_partition_matches_pairwise(n, copies, d, attack):
     deltas[slots] = malicious
     benign = np.setdiff1d(np.arange(n), slots)
     deltas[benign[1]] = deltas[benign[0]]  # and one duplicated benign pair
-    updates = mk(w_t, list(deltas))
-    S = stpa.build_affinity(w_t, updates)
-    want = pairwise_affinity_reference(w_t, updates)
+    X, _ = mk(w_t, list(deltas))
+    S = stpa.build_affinity(w_t, X)
+    want = pairwise_affinity_reference(w_t, X)
     c1, c2 = stpa.bipartition(S)
     assert (c1, c2) == bipartition_reference(want)
     assert set(slots.tolist()) <= set(c1) or set(slots.tolist()) <= set(c2)
@@ -381,8 +388,8 @@ def test_round_identical_models_hand_composed():
     # v = 0.5 delta, alpha = 1, so w1 = w_t - 0.5 (w_t - u)
     w_t = np.array([2.0, 0.0, -2.0])
     u = np.array([1.0, 1.0, 1.0])
-    updates = [ClientUpdate(u, 1) for _ in range(5)]
-    outcome, state = stpa.stpa_round(w_t, updates, np.zeros(3), StpaConfig())
+    X, counts = stacked([u] * 5)
+    outcome, state = stpa.stpa_round(w_t, X, counts, np.zeros(3), StpaConfig())
     assert outcome.benign_count == 5
     assert outcome.alpha == pytest.approx(1.0)
     assert np.allclose(outcome.new_model, w_t - 0.5 * (w_t - u))
@@ -395,8 +402,8 @@ def test_round_discard_advances_momentum():
     u = np.array([-1.0, -1.0])  # delta_w = w_t - u = (1, 1)
     delta = w_t - u
     prior = -4.0 * delta
-    updates = [ClientUpdate(u, 1) for _ in range(3)]
-    outcome, state = stpa.stpa_round(w_t, updates, prior, StpaConfig())
+    X, counts = stacked([u] * 3)
+    outcome, state = stpa.stpa_round(w_t, X, counts, prior, StpaConfig())
     assert outcome.discarded
     assert outcome.alpha == pytest.approx(-1.0)
     assert np.array_equal(outcome.new_model, w_t)
@@ -413,21 +420,21 @@ def test_round_leaves_inputs_unchanged(prior_scale, discarded):
     direction = rng.standard_normal(6)
     deltas = [direction + 0.1 * rng.standard_normal(6) for _ in range(5)]
     deltas += [-direction + 0.1 * rng.standard_normal(6) for _ in range(3)]
-    updates = mk(w_t, deltas)
+    X, counts = mk(w_t, deltas)
     v = prior_scale * direction
-    before = [a.tobytes() for a in (w_t, v, *(u.model for u in updates))]
-    outcome, new_v = stpa.stpa_round(w_t, updates, v, StpaConfig())
+    before = [a.tobytes() for a in (w_t, v, X)]
+    outcome, new_v = stpa.stpa_round(w_t, X, counts, v, StpaConfig())
     assert outcome.discarded is discarded
     assert new_v is not v
-    assert [a.tobytes() for a in (w_t, v, *(u.model for u in updates))] == before
+    assert [a.tobytes() for a in (w_t, v, X)] == before
 
 
 def test_round_single_update():
     w_t = np.array([1.0, 0.0])
-    u = ClientUpdate(np.array([0.0, 0.0]), 1)
-    outcome, _ = stpa.stpa_round(w_t, [u], np.zeros(2), StpaConfig())
+    X, counts = stacked([np.array([0.0, 0.0])])
+    outcome, _ = stpa.stpa_round(w_t, X, counts, np.zeros(2), StpaConfig())
     assert outcome.benign_count == 1
-    assert np.allclose(outcome.new_model, w_t - 0.5 * (w_t - u.model))
+    assert np.allclose(outcome.new_model, w_t - 0.5 * (w_t - X[0]))
 
 
 def test_round_filters_coordinated_attackers():
@@ -438,14 +445,14 @@ def test_round_filters_coordinated_attackers():
     dim = 30
     w_t = rng.standard_normal(dim)
     honest_dir = rng.standard_normal(dim)
-    updates = []
+    models = []
     for i in range(13):
         delta = honest_dir + 0.05 * rng.standard_normal(dim)
-        updates.append(ClientUpdate(w_t - delta, 1))
+        models.append(w_t - delta)
     for i in range(13, 20):
         delta = -honest_dir + 0.05 * rng.standard_normal(dim)
-        updates.append(ClientUpdate(w_t - delta, 1))
-    S = stpa.build_affinity(w_t, updates)
+        models.append(w_t - delta)
+    S = stpa.build_affinity(w_t, stacked(models)[0])
     part = stpa.partition_round(S, 0.02)
     assert part.cross_similarity < 0.02
     assert set(part.benign) == set(range(13))
@@ -459,13 +466,13 @@ def test_round_uncoordinated_attackers_keep_union():
     dim = 30
     w_t = rng.standard_normal(dim)
     honest_dir = rng.standard_normal(dim)
-    updates = []
+    models = []
     for i in range(13):
         delta = honest_dir + 0.05 * rng.standard_normal(dim)
-        updates.append(ClientUpdate(w_t - delta, 1))
+        models.append(w_t - delta)
     for i in range(13, 20):
-        updates.append(ClientUpdate(rng.normal(0.0, 20.0, size=dim), 1))
-    S = stpa.build_affinity(w_t, updates)
+        models.append(rng.normal(0.0, 20.0, size=dim))
+    S = stpa.build_affinity(w_t, stacked(models)[0])
     part = stpa.partition_round(S, 0.02)
     if part.cross_similarity >= 0.02:
         assert part.benign == tuple(range(20))
@@ -477,9 +484,9 @@ def test_round_reduces_to_inner_rule_direction():
     # with beta = 0 and eta0 = 1 the step is exactly alpha * median-delta
     w_t = np.zeros(2)
     deltas = [np.array([1.0, 0.0]), np.array([1.1, 0.1]), np.array([0.9, -0.1])]
-    updates = mk(w_t, deltas)
+    X, counts = mk(w_t, deltas)
     cfg = StpaConfig(beta=0.0, eta0=1.0)
-    outcome, _ = stpa.stpa_round(w_t, updates, np.zeros(2), cfg)
+    outcome, _ = stpa.stpa_round(w_t, X, counts, np.zeros(2), cfg)
     med = np.median(np.stack(deltas), axis=0)
     assert outcome.alpha == pytest.approx(1.0)
     assert np.allclose(outcome.new_model, w_t - med)

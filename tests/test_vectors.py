@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from stpafl import vectors
 from stpafl.stpa import cosine_similarity
 from stpafl.vectors import ClientUpdate
 
@@ -38,20 +37,9 @@ def test_cosine_clipped_to_unit_interval():
         assert -1.0 <= cosine_similarity(a, b) <= 1.0
 
 
-def test_as_vector_rejects_nonfinite_and_matrix():
-    with pytest.raises(ValueError):
-        vectors.as_vector([1.0, np.nan])
-    with pytest.raises(ValueError):
-        vectors.as_vector([1.0, np.inf])
-    with pytest.raises(ValueError):
-        vectors.as_vector(np.zeros((2, 2)))
-
-
 def test_client_update_validation():
     u = ClientUpdate([1.0, 2.0], 10)
     assert u.dim == 2
     assert u.model.dtype == np.float64
     with pytest.raises(ValueError):
         ClientUpdate([1.0], 0)
-    with pytest.raises(ValueError):
-        ClientUpdate([np.nan], 1)
