@@ -1,4 +1,5 @@
-"""Golden logs: SHA-256 of `stpafl run` outputs for short fixed configs.
+"""Golden logs: SHA-256 of `stpafl run` outputs for short fixed configs, and of
+`stpafl gen-data` CSVs for fixed flags.
 
 A refactor that claims "same behaviour" must leave these hashes unchanged. A
 change that moves an output on purpose regenerates them in the same commit and
@@ -145,6 +146,21 @@ GOLDEN = {
 }
 
 
+# gen-data flags. Five classes in two dimensions repeat corners, which takes
+# the outer-shell path; spread 0 puts every sample on its centroid.
+GEN_DATA_ARGS = {
+    "default": [],
+    "outer_shell": ["--classes", "5", "--dim", "2"],
+    "no_spread": ["--spread", "0"],
+}
+
+GEN_DATA_GOLDEN = {
+    "default": "73e58974a34f91763321b57a5af5cfd2739b1cf6e6646da14d8bab6013784c2b",
+    "no_spread": "bee8c6ba689f72c519da1a71200c9508f7df4c7a31e8ac1e1cd84b90d1a5d489",
+    "outer_shell": "0b37ad957f61f23e326972eb442fd974b6fc89d32a27be02febe1835a9937e7f",
+}
+
+
 def run_hashes(cfg: dict, workdir: Path) -> dict:
     cfg_path = workdir / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -161,7 +177,21 @@ def test_golden_outputs(name, tmp_path):
     assert run_hashes(CONFIGS[name], tmp_path) == GOLDEN[name]
 
 
+def gen_data_hash(args: list, workdir: Path) -> str:
+    out = workdir / "data.csv"
+    assert cli.main(["gen-data", *args, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GEN_DATA_ARGS))
+def test_golden_gen_data(name, tmp_path):
+    assert gen_data_hash(GEN_DATA_ARGS[name], tmp_path) == GEN_DATA_GOLDEN[name]
+
+
 if __name__ == "__main__":
     for name in sorted(CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
             print(f"    {name!r}: {run_hashes(CONFIGS[name], Path(tmp))!r},")
+    for name in sorted(GEN_DATA_ARGS):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {name!r}: {gen_data_hash(GEN_DATA_ARGS[name], Path(tmp))!r},")
