@@ -44,6 +44,13 @@ def fed_avg(X: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return weights @ X
 
 
+def _trim(X: np.ndarray, k: int) -> np.ndarray:
+    """Per coordinate: sort, drop k values from each end, mean the rest."""
+    _check_roster(X)
+    n = X.shape[0]
+    return np.sort(X, axis=0)[k : n - k].mean(axis=0)
+
+
 def coordinate_median(X: np.ndarray) -> np.ndarray:
     """Per-coordinate median; even counts average the two middle values.
 
@@ -52,21 +59,14 @@ def coordinate_median(X: np.ndarray) -> np.ndarray:
     included) on finite input; at roster sizes the sort is cheaper than
     np.median's partition.
     """
-    _check_roster(X)
-    n = X.shape[0]
-    S = np.sort(X, axis=0)
-    return S[(n - 1) // 2 : n // 2 + 1].mean(axis=0)
+    return _trim(X, (len(X) - 1) // 2)
 
 
 def trimmed_mean(X: np.ndarray, gamma: float) -> np.ndarray:
     """Per coordinate: drop floor(gamma*n) values from each end, mean the rest."""
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must be in (0, 0.5)")
-    _check_roster(X)
-    n = X.shape[0]
-    k = int(np.floor(gamma * n))
-    S = np.sort(X, axis=0)
-    return S[k : n - k].mean(axis=0)
+    return _trim(X, int(np.floor(gamma * len(X))))
 
 
 def krum_scores(updates: list[ClientUpdate], f: int) -> np.ndarray:

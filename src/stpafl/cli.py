@@ -181,16 +181,10 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"unknown dataset kind: {args.kind}")
     if args.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    dc = from_dict(
-        BlobsDataConfig,
-        {
-            "n_classes": args.classes,
-            "dim": args.dim,
-            "samples_per_class": args.samples_per_class,
-            "spread": args.spread,
-        },
-        "gen-data",
-    )
+    # Only the flags given reach the config; the rest keep BlobsDataConfig's defaults.
+    names = ("n_classes", "dim", "samples_per_class", "spread")
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    dc = from_dict(BlobsDataConfig, given, "gen-data")
     dataset = data.generate_blobs(dc.n_classes, dc.dim, dc.samples_per_class, dc.spread, args.seed)
     data.save_csv(dataset, args.out)
     return 0
@@ -215,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-data", help="generate a reusable dataset CSV")
     gen.add_argument("--kind", default="blobs")
-    gen.add_argument("--classes", type=int, default=10)
-    gen.add_argument("--dim", type=int, default=20)
-    gen.add_argument("--samples-per-class", type=int, default=200)
-    gen.add_argument("--spread", type=float, default=0.5)
+    gen.add_argument("--classes", dest="n_classes", type=int)
+    gen.add_argument("--dim", type=int)
+    gen.add_argument("--samples-per-class", type=int)
+    gen.add_argument("--spread", type=float)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen_data)

@@ -34,8 +34,8 @@ class LabeledDataset:
             raise ValueError("features must be a 2-D matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels length must match feature rows")
-        if np.isnan(self.features).any():
-            raise ValueError("features contain NaN")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features contain NaN or infinity")
         if self.n_classes < 1:
             raise ValueError("n_classes must be positive")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
@@ -131,15 +131,13 @@ def generate_blobs(
         centroids[c] = 6.0 * seen[key] * corners[c]
     centroids += 0.25 * rng.standard_normal((n_classes, dim))
 
-    features = np.empty((n_classes * samples_per_class, dim))
-    labels = np.empty(n_classes * samples_per_class, dtype=np.int64)
-    for c in range(n_classes):
-        lo = c * samples_per_class
-        noise = rng.standard_normal((samples_per_class, dim))
-        features[lo : lo + samples_per_class] = centroids[c] + spread * noise
-        labels[lo : lo + samples_per_class] = c
-    raw = LabeledDataset(features, labels, n_classes)
-    return normalize(raw, -1.0, 1.0)
+    # One draw reads the stream in the order of one (samples_per_class, dim)
+    # draw per class; scaling and shifting it in place allocates no temporaries.
+    features = rng.standard_normal((n_classes, samples_per_class, dim))
+    features *= spread
+    features += centroids[:, None]
+    labels = np.repeat(np.arange(n_classes), samples_per_class)
+    return normalize(LabeledDataset(features.reshape(-1, dim), labels, n_classes), -1.0, 1.0)
 
 
 def _read_idx_header(raw: bytes, path, expected_magic: int, n_dims: int):

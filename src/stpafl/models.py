@@ -31,6 +31,18 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
+@dataclass(frozen=True)
+class ModelConfig:
+    kind: str = "linear"  # linear | mlp
+    hidden: int = 200
+
+    def __post_init__(self):
+        if self.kind not in ("linear", "mlp"):
+            raise ValueError(f"unknown model kind: {self.kind}")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
+
+
 def _T(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
@@ -185,10 +197,8 @@ class Model:
         return grad
 
 
-def make_model(kind: str, n_features: int, n_classes: int, hidden: int = 200) -> Model:
-    if kind not in ("linear", "mlp"):
-        raise ValueError(f"unknown model kind: {kind}")
-    return Model(n_features, n_classes, (hidden,) if kind == "mlp" else ())
+def make_model(cfg: ModelConfig, n_features: int, n_classes: int) -> Model:
+    return Model(n_features, n_classes, (cfg.hidden,) if cfg.kind == "mlp" else ())
 
 
 # Element budget for one training block: the most clients whose widest

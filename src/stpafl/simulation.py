@@ -15,7 +15,7 @@ import numpy as np
 from . import attacks, data, models
 from .aggregation import AggregationRule, apply_rule
 from .attacks import AttackSpec
-from .models import TrainConfig
+from .models import ModelConfig, TrainConfig
 from .stpa import StepOutcome, StpaConfig, stpa_round
 
 
@@ -75,18 +75,6 @@ class PartitionConfig:
             raise ValueError(f"unknown partition scheme: {self.scheme}")
         if self.shards_per_client < 1 or self.shard_size < 1:
             raise ValueError("shards_per_client and shard_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    kind: str = "linear"  # linear | mlp
-    hidden: int = 200
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "mlp"):
-            raise ValueError(f"unknown model kind: {self.kind}")
-        if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -167,13 +155,8 @@ def build_data(cfg: ScenarioConfig) -> tuple[data.LabeledDataset, data.LabeledDa
     if dc.kind == "blobs":
         per_class = dc.samples_per_class + dc.test_samples_per_class
         full = data.generate_blobs(dc.n_classes, dc.dim, per_class, dc.spread, cfg.seed)
-        train_idx = []
-        test_idx = []
-        for c in range(dc.n_classes):
-            lo = c * per_class
-            train_idx.extend(range(lo, lo + dc.samples_per_class))
-            test_idx.extend(range(lo + dc.samples_per_class, lo + per_class))
-        return full.subset(train_idx), full.subset(test_idx)
+        train = np.arange(len(full)) % per_class < dc.samples_per_class
+        return full.subset(np.flatnonzero(train)), full.subset(np.flatnonzero(~train))
     if dc.kind == "idx":
         return (
             data.load_idx(dc.train_images, dc.train_labels),
@@ -293,9 +276,7 @@ def iter_experiment(cfg: ScenarioConfig):
     train, test = build_data(cfg)
     check_data(cfg, train, test)
     pool = setup_client_datasets(cfg, train)
-    model = models.make_model(
-        cfg.model.kind, train.n_features, train.n_classes, cfg.model.hidden
-    )
+    model = models.make_model(cfg.model, train.n_features, train.n_classes)
     init_rng = np.random.default_rng(derive_seed(cfg.seed, 0))
     state = ExperimentState(
         global_model=model.init_params(init_rng),

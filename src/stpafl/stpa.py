@@ -9,7 +9,8 @@ momentum speculation v is a plain array that the caller carries between rounds.
 
 Cosine similarity follows a zero-norm convention: a vector with norm below
 ZERO_NORM_EPS carries no directional information and yields similarity 0, so
-the alpha <= 0 gate discards such rounds instead of propagating NaN.
+the alpha <= 0 gate discards such rounds instead of propagating NaN. In the
+affinity matrix, rows whose norm overflows to inf get similarity 0 as well.
 """
 
 from __future__ import annotations
@@ -86,8 +87,10 @@ PAIRWISE_MAX_SLOTS = 4
 def build_affinity(global_model: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities of the pseudo-gradients w_t - x of X's rows; diagonal 1.
 
-    Rows with norm below ZERO_NORM_EPS get similarity 0 to every other row,
-    as in cosine_similarity. The result is exactly symmetric.
+    Rows are scaled to unit norm before the product, so finite rows of any size
+    give finite values. Rows with norm below ZERO_NORM_EPS or overflowing to inf
+    become zero rows: similarity 0 to every other row, as in cosine_similarity.
+    numpy computes G @ G.T as one symmetric product, so S is exactly symmetric.
     """
     n = len(X)
     if n < 2:
@@ -100,12 +103,9 @@ def build_affinity(global_model: np.ndarray, X: np.ndarray) -> np.ndarray:
                 S[i, j] = S[j, i] = cosine_similarity(deltas[i], deltas[j])
         return S
     G = global_model - X
-    norms = np.linalg.norm(G, axis=1)
-    live = norms >= ZERO_NORM_EPS
-    norms[~live] = 1.0
-    S = (G @ G.T) / np.outer(norms, norms)
-    S[~live] = 0.0
-    S[:, ~live] = 0.0
+    norms = np.linalg.norm(G, axis=1, keepdims=True)
+    G /= np.where(norms >= ZERO_NORM_EPS, norms, np.inf)
+    S = G @ G.T
     np.clip(S, -1.0, 1.0, out=S)
     np.fill_diagonal(S, 1.0)
     return S

@@ -16,6 +16,7 @@ from stpafl.aggregation import AggregationRule
 from stpafl.attacks import AttackSpec
 from stpafl.cli import main as cli_main
 from stpafl.data import LabeledDataset
+from stpafl.models import ModelConfig
 from stpafl.simulation import (
     BlobsDataConfig,
     ScenarioConfig,
@@ -210,7 +211,8 @@ def test_criterion_2_gradient_finite_differences():
     h = 1e-5
     rng = np.random.default_rng(SEED)
     ok = True
-    for model in (models.make_model("linear", 5, 4), models.make_model("mlp", 5, 4, hidden=6)):
+    linear, mlp = ModelConfig("linear"), ModelConfig("mlp", hidden=6)
+    for model in (models.make_model(linear, 5, 4), models.make_model(mlp, 5, 4)):
         for _ in range(20):
             X = rng.standard_normal((8, 5))
             y = rng.integers(0, 4, size=8)

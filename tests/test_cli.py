@@ -260,7 +260,21 @@ def test_csv_test_set_without_rows_exits_2_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
+def test_csv_test_set_with_an_infinite_feature_exits_1_before_output(tmp_path, capsys):
+    data_cfg = csv_data(tmp_path)
+    test_csv = tmp_path / "test.csv"
+    lines = test_csv.read_text().splitlines()
+    label, _, *features = lines[2].split(",")
+    lines[2] = ",".join([label, "inf", *features])
+    test_csv.write_text("\n".join(lines) + "\n")
+    cfg_path = write_config(tmp_path, base_config(data=data_cfg))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "features contain NaN or infinity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+EVERY_RULE = pytest.mark.parametrize(
     "rule",
     [
         {"kind": "fed_avg"},
@@ -271,6 +285,9 @@ def test_csv_test_set_without_rows_exits_2_before_output(tmp_path, capsys):
     ],
     ids=lambda rule: rule["kind"],
 )
+
+
+@EVERY_RULE
 def test_non_finite_submissions_exit_1_before_output(tmp_path, capsys, rule):
     # Gaussian draws at sigma 1e308 overflow to inf in round 0.
     cfg = base_config(
@@ -284,6 +301,27 @@ def test_non_finite_submissions_exit_1_before_output(tmp_path, capsys, rule):
     assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
     assert "vector contains NaN or infinity" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", [1e160, 1e300])
+@EVERY_RULE
+def test_huge_finite_submissions_finish(tmp_path, rule, sigma):
+    # Finite Gaussian draws whose squared norms overflow to inf.
+    cfg = base_config(
+        n_clients=20,
+        n_malicious=6,
+        clients_per_round=20,
+        rounds=5,
+        attack={"kind": "byzantine_gaussian", "sigma": sigma},
+        rule=rule,
+    )
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
+    assert len(records) == 5
+    for rec in records:
+        values = [rec["test_error_pct"], rec["alpha"], rec["eta"]]
+        assert all(v is None or np.isfinite(v) for v in values)
 
 
 def test_sweep_of_a_plan_its_data_cannot_fill_exits_2_before_output(tmp_path, capsys):

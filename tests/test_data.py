@@ -26,8 +26,9 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.zeros((2, 2)), np.array([0]), 2)  # length mismatch
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((1, 1)), np.array([5]), 2)  # label out of range
-    with pytest.raises(ValueError):
-        LabeledDataset(np.array([[np.nan]]), np.array([0]), 2)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="features contain NaN or infinity"):
+            LabeledDataset(np.array([[value]]), np.array([0]), 2)
 
 
 def test_subset():

@@ -4,8 +4,8 @@ import pytest
 from stpafl import models, simulation
 from stpafl.attacks import AttackSpec
 from stpafl.data import ClientStack, LabeledDataset, partition_iid
-from stpafl.models import Model, TrainConfig
-from stpafl.simulation import BlobsDataConfig, ModelConfig, ScenarioConfig, derive_seed
+from stpafl.models import Model, ModelConfig, TrainConfig
+from stpafl.simulation import BlobsDataConfig, ScenarioConfig, derive_seed
 
 
 def cross_entropy(model, params, dataset):
@@ -120,7 +120,7 @@ def test_gradient_zero_at_confident_optimum():
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_gradient_matches_finite_differences(kind):
     rng = np.random.default_rng(42)
-    model = models.make_model(kind, 4, 3, hidden=5)
+    model = models.make_model(ModelConfig(kind, hidden=5), 4, 3)
     for _ in range(5):
         ds = random_dataset(rng, 12, 4, 3)
         p = rng.standard_normal(model.dim) * 0.5
@@ -343,7 +343,7 @@ STACK_CASES = [
 @pytest.mark.parametrize("kind,K,N,batch", STACK_CASES)
 def test_stacked_local_train_equals_per_client_loop(kind, K, N, batch):
     rng = np.random.default_rng(K * 100 + N)
-    model = models.make_model(kind, 6, 4, hidden=9)
+    model = models.make_model(ModelConfig(kind, hidden=9), 6, 4)
     stack = ClientStack(
         np.arange(K), rng.standard_normal((K, N, 6)), rng.integers(0, 4, size=(K, N))
     )
@@ -371,7 +371,7 @@ def test_train_clients_blocks_and_two_sizes_equal_per_client_loop(kind, batch, m
     train, _ = simulation.build_data(cfg)
     pool = simulation.setup_client_datasets(cfg, train)
     assert [s.labels.shape[1] for s in pool.stacks] == [10, 11]
-    model = models.make_model(kind, 4, 5, hidden=7)
+    model = models.make_model(ModelConfig(kind, hidden=7), 4, 5)
     monkeypatch.setattr(models, "BLOCK_ELEMENTS", 2 * 11 * model.width)
     assert models.block_clients(model, 10) == 2 and models.block_clients(model, 11) == 2
     w = model.init_params(np.random.default_rng(0))

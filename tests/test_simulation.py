@@ -128,7 +128,7 @@ def test_single_client_fed_avg_identity():
     )
     train, test = simulation.build_data(cfg)
     pool = simulation.setup_client_datasets(cfg, train)
-    model = M.make_model("linear", train.n_features, train.n_classes)
+    model = M.make_model(cfg.model, train.n_features, train.n_classes)
     w0 = model.init_params(np.random.default_rng(derive_seed(3, 0)))
     (expected,) = M.local_train(model, w0, pool.stacks[0], cfg.train)
     state = simulation.ExperimentState(

@@ -186,6 +186,25 @@ def test_affinity_matches_pairwise_cosine(n, zero_rows):
         assert np.count_nonzero(S[i]) == 1 and S[i, i] == 1.0
 
 
+def test_affinity_of_huge_finite_rows():
+    # The squared norms of these rows overflow to inf, so they become zero
+    # rows: similarity 0 to every other row, and no NaN anywhere in S.
+    rng = np.random.default_rng(0)
+    w_t = rng.standard_normal(210)
+    deltas = rng.standard_normal((20, 210))
+    huge = [0, 7, 13]
+    deltas[huge] *= 1e160
+    X, _ = mk(w_t, list(deltas))
+    S = stpa.build_affinity(w_t, X)
+    assert np.isfinite(S).all() and np.array_equal(S, S.T)
+    assert np.array_equal(np.diag(S), np.ones(20))
+    for i in huge:
+        assert np.count_nonzero(S[i]) == 1
+    rest = np.setdiff1d(np.arange(20), huge)
+    want = pairwise_affinity_reference(w_t, X[rest])
+    assert np.max(np.abs(S[np.ix_(rest, rest)] - want)) <= 4e-15
+
+
 @pytest.mark.parametrize(
     "n, copies, d, attack",
     [(5, 2, 33, "ipm"), (20, 4, 33, "alie"), (20, 6, 6210, "ipm"), (100, 20, 210, "alie"), (100, 30, 210, "ipm")],
