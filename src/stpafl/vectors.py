@@ -1,7 +1,7 @@
 """ClientUpdate: one submitted model with its sample count.
 
 Rounds pass their submissions as one (n, d) array; krum_scores alone still
-takes a list of these, built from that array's rows.
+takes a list of these, whose models are views of that array's rows.
 """
 
 from __future__ import annotations

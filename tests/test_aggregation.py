@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +192,85 @@ def test_krum_parameter_validation():
         aggregation.krum_scores(as_updates(X), 2)  # n - f - 2 = 0
     with pytest.raises(ValueError):
         aggregation.krum_selection(X, 1, 2)  # m > n - f - 2
+
+
+@st.composite
+def krum_inputs(draw):
+    """(X, f) where Gram-product scores alone can misorder or overflow.
+
+    "ulps": copies of one row moved by a few ulps, so every distance is far
+    below the product's rounding. "integer": duplicate small-integer rows with
+    f at either end of [0, n - 3]. "huge": small integers times 1e160 or 1e300,
+    moved by a relative 1e-9, where the product overflows.
+    """
+    kind = draw(st.sampled_from(["ulps", "integer", "huge"]))
+    n, d = draw(st.integers(3, 12)), draw(st.integers(1, 8))
+    small = hnp.arrays(np.int64, (n, d), elements=st.integers(-3, 3))
+    if kind == "ulps":
+        base = draw(hnp.arrays(np.float64, d, elements=st.floats(-1e6, 1e6)))
+        X = base + np.spacing(base) * draw(small)
+    elif kind == "integer":
+        X = draw(small).astype(np.float64)
+        X[draw(hnp.arrays(np.int64, n // 2, elements=st.integers(0, n - 1)))] = X[0]
+    else:
+        X = draw(st.sampled_from([1e160, 1e300])) * (draw(small) + 1e-9 * draw(small))
+    f = draw(st.sampled_from([0, n - 3]) if kind == "integer" else st.integers(0, n - 3))
+    return X, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(krum_inputs(), st.data())
+def test_krum_selection_equals_exact_order(Xf, data):
+    X, f = Xf
+    n = len(X)
+    with np.errstate(over="ignore", invalid="ignore"):  # the exact codes overflow on huge rows
+        want = krum_scores_reference(X, f)
+        rows = data.draw(st.lists(st.integers(0, n - 1), unique=True).map(sorted))
+        partial = aggregation.krum_scores(as_updates(X), f, rows)
+        for m in range(1, n - f - 1):
+            assert aggregation.krum_selection(X, f, m) == np.argsort(want, kind="stable")[:m].tolist()
+    assert np.array_equal(partial[rows], want[rows])
+    assert np.all(np.delete(partial, rows) == np.inf)
+
+
+def test_krum_selection_rescores_only_rows_it_cannot_rule_out(monkeypatch):
+    # Rows at clearly different scales have well-separated scores, so the
+    # Gram bounds leave exactly the m best rows to be scored exactly.
+    scored = []
+    exact = aggregation.krum_scores
+
+    def spy(updates, f, rows=None):
+        scored.append(len(rows))
+        return exact(updates, f, rows)
+
+    monkeypatch.setattr(aggregation, "krum_scores", spy)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((20, 6210)) * np.linspace(1.0, 3.0, 20)[:, None]
+    for m in (1, 3):
+        assert aggregation.krum_selection(X, 4, m) == krum_oracle(X, 4, m)
+    assert scored == [1, 3]
+
+
+def test_krum_selection_copies_no_submissions():
+    X = np.random.default_rng(6).standard_normal((20, 6210))
+    aggregation.krum_selection(X, 4, 2)
+    tracemalloc.start()
+    try:
+        aggregation.krum_selection(X, 4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes
+
+
+def test_krum_selection_on_overflowing_products_warns_nothing():
+    # The Gram product overflows at this scale; the distances do not.
+    rng = np.random.default_rng(8)
+    X = 1e160 * (1 + 1e-9 * rng.standard_normal((10, 50)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = aggregation.krum_selection(X, 2, 3)
+    assert got == np.argsort(krum_scores_reference(X, 2), kind="stable")[:3].tolist()
 
 
 # ---------------------------------------------------------------- shared checks
