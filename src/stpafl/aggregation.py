@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import ClientUpdate
-
 RULE_KINDS = ("fed_avg", "coordinate_median", "trimmed_mean", "krum", "stpa")
 
 
@@ -69,31 +67,44 @@ def trimmed_mean(X: np.ndarray, gamma: float) -> np.ndarray:
     return _trim(X, int(np.floor(gamma * len(X))))
 
 
+@dataclass(frozen=True)
+class ClientUpdate:
+    """One row of a round's submissions, as krum_scores takes them.
+
+    krum_scores takes a list of these rather than the (n, d) array only because
+    the benchmark tracer reads `updates[0].dim`.
+    """
+
+    model: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.model.shape[0]
+
+
 def krum_scores(updates: list[ClientUpdate], f: int, rows: np.ndarray | None = None) -> np.ndarray:
     """Per update, the sum of distances to its n-f-2 nearest peers; +inf outside `rows`."""
     n, d = len(updates), updates[0].dim
     if n - f - 2 < 1:
         raise ValueError(f"krum needs n - f - 2 >= 1, got n={n}, f={f}")
-    wanted = np.zeros(n, dtype=bool)
-    wanted[range(n) if rows is None else rows] = True
-    # Scored rows come first, so each pair is computed once, by its first row.
-    order = np.argsort(~wanted, kind="stable")
-    models = [updates[j].model for j in order]
-    D = np.zeros((n, n))
+    rows = range(n) if rows is None else rows
+    models = [u.model for u in updates]
+    D = np.empty((len(rows), n))
     block = max(1, 2**15 // d)  # rows per 256 KB scratch block: peers, then differences
     peers, diffs = np.empty((2, min(block, n), d))
     for j0 in range(0, n, block):
-        js = order[j0 : j0 + block]
-        np.concatenate(models[j0 : j0 + block], out=peers[: len(js)].reshape(-1))
-        for p in range(min(wanted.sum(), j0 + len(js) - 1)):
-            a = max(p + 1 - j0, 0)
-            diff = np.subtract(peers[a : len(js)], models[p], out=diffs[: len(js) - a])
+        k = min(block, n - j0)
+        np.concatenate(models[j0 : j0 + k], out=peers[:k].reshape(-1))
+        for r, i in enumerate(rows):
+            diff = np.subtract(peers[:k], models[i], out=diffs[:k])
             np.multiply(diff, diff, out=diff)
-            D[order[p], js[a:]] = D[js[a:], order[p]] = np.sqrt(diff.sum(axis=1))
-    # After the sort each row starts with a zero that stands for its own
-    # diagonal entry; the n - f - 2 nearest peers follow it.
+            D[r, j0 : j0 + k] = np.sqrt(diff.sum(axis=1))
+    # After the sort each row starts with its zero distance to itself; the
+    # n - f - 2 nearest peers follow it.
     D.sort(axis=1)
-    return np.where(wanted, D[:, 1 : n - f - 1].sum(axis=1), np.inf)
+    scores = np.full(n, np.inf)
+    scores[rows] = D[:, 1 : n - f - 1].sum(axis=1)
+    return scores
 
 
 def krum_selection(X: np.ndarray, f: int, m: int) -> list[int]:
@@ -122,7 +133,7 @@ def krum_selection(X: np.ndarray, f: int, m: int) -> list[int]:
         high = np.sort(dist + err, axis=1)[:, k].sum(axis=1) * (1 + n * eps)
         ok = np.isfinite(dist + err).all(axis=1)
         rows = np.flatnonzero(~ok | (low <= np.sort(np.where(ok, high, np.inf))[m - 1]))
-    updates = [ClientUpdate(x, 1) for x in X]
+    updates = [ClientUpdate(x) for x in X]
     return np.argsort(krum_scores(updates, f, rows), kind="stable")[:m].tolist()
 
 

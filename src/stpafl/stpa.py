@@ -79,8 +79,8 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return min(max(float(a @ b) / (na * nb), -1.0), 1.0)
 
 
-# Up to this many slots, build_affinity makes one cosine_similarity call per
-# pair; at this size that costs about as much as the stacked Gram path.
+# Up to this many slots, build_affinity makes one cosine_similarity call per pair. The
+# branch stays only because perfbench/test_perfbench.py counts those calls: 3 * (6 + 1).
 PAIRWISE_MAX_SLOTS = 4
 
 
@@ -89,7 +89,8 @@ def build_affinity(global_model: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     Rows are scaled to unit norm before the product, so finite rows of any size
     give finite values. Rows with norm below ZERO_NORM_EPS or overflowing to inf
-    become zero rows: similarity 0 to every other row, as in cosine_similarity.
+    become zero rows: similarity 0 to every other row. cosine_similarity also gives 0
+    for the small norms, but can give NaN for overflowing ones.
     numpy computes G @ G.T as one symmetric product, so S is exactly symmetric.
     """
     n = len(X)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from stpafl import aggregation
-from stpafl.aggregation import AggregationRule, apply_rule
-from stpafl.vectors import ClientUpdate
+from stpafl.aggregation import AggregationRule, ClientUpdate, apply_rule
 
 
 def mk(models, counts=None):
@@ -23,7 +22,7 @@ def mk(models, counts=None):
 
 def as_updates(X):
     """krum_scores' list form of the rows of X."""
-    return [ClientUpdate(x, 1) for x in X]
+    return [ClientUpdate(x) for x in X]
 
 
 # ---------------------------------------------------------------- oracles
@@ -184,6 +183,17 @@ def test_krum_scores_match_reference(n, d, f, integer):
     got, want = aggregation.krum_scores(as_updates(X), f), krum_scores_reference(X, f)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+    # An unsorted subset whose first row is in the last peer block.
+    rows = [n - 1, 0, 1]
+    partial = aggregation.krum_scores(as_updates(X), f, rows)
+    assert np.array_equal(partial[rows], want[rows])
+    assert np.array_equal(np.signbit(partial[rows]), np.signbit(want[rows]))
+    assert np.all(np.delete(partial, rows) == np.inf)
+
+
+def test_client_update_dim():
+    # The benchmark tracer sizes krum_scores' work from updates[0].dim.
+    assert ClientUpdate(np.array([1.0, 2.0])).dim == 2
 
 
 def test_krum_parameter_validation():

@@ -303,6 +303,16 @@ def test_non_finite_submissions_exit_1_before_output(tmp_path, capsys, rule):
     assert not out.exists()
 
 
+def assert_finishes_with_finite_records(tmp_path, cfg):
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
+    assert len(records) == cfg["rounds"]
+    for rec in records:
+        values = [rec["test_error_pct"], rec["alpha"], rec["eta"]]
+        assert all(v is None or np.isfinite(v) for v in values)
+
+
 @pytest.mark.parametrize("sigma", [1e160, 1e300])
 @EVERY_RULE
 def test_huge_finite_submissions_finish(tmp_path, rule, sigma):
@@ -315,13 +325,40 @@ def test_huge_finite_submissions_finish(tmp_path, rule, sigma):
         attack={"kind": "byzantine_gaussian", "sigma": sigma},
         rule=rule,
     )
-    out = tmp_path / "o"
-    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
-    records = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
-    assert len(records) == 5
-    for rec in records:
-        values = [rec["test_error_pct"], rec["alpha"], rec["eta"]]
-        assert all(v is None or np.isfinite(v) for v in values)
+    assert_finishes_with_finite_records(tmp_path, cfg)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        pytest.param(
+            {"scenario": "cross_device", "n_clients": 10, "n_malicious": 4, "clients_per_round": 4},
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: the small-roster affinity branch fails on overflowing rows",
+            ),
+            id="four_slot_roster",
+        ),
+        *(
+            pytest.param(
+                {"n_clients": 20, "n_malicious": 6, "clients_per_round": 20, "stpa": {"inner_rule": inner}},
+                marks=pytest.mark.xfail(
+                    strict=True, reason="ROADMAP item 2: the temporal gate's guard goes in with the screen"
+                ),
+                id=f"gate_overflow_{inner['kind']}",
+            )
+            for inner in ({"kind": "fed_avg"}, {"kind": "trimmed_mean", "gamma": 0.2})
+        ),
+    ],
+)
+def test_huge_finite_submissions_finish_under_stpa(tmp_path, scenario):
+    cfg = base_config(
+        rounds=5,
+        attack={"kind": "byzantine_gaussian", "sigma": 1e160},
+        rule={"kind": "stpa"},
+        **scenario,
+    )
+    assert_finishes_with_finite_records(tmp_path, cfg)
 
 
 def test_sweep_of_a_plan_its_data_cannot_fill_exits_2_before_output(tmp_path, capsys):
