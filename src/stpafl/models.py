@@ -87,23 +87,28 @@ def _sum_rows(P: np.ndarray) -> np.ndarray:
 def _softmax_residual(logits: np.ndarray, y: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
     """d(mean cross-entropy)/d(logits) = (softmax - onehot(y)) / n_samples.
 
-    Overwrites logits, which must be a C-contiguous array, and returns it. The
-    work runs class-major, on a (C, M) copy of the M rows of logits, made in P
-    if given and in a fresh array if not. Row-major, the max and the sum
-    reduce the short class axis (10 wide here) once per row, M times per
-    call, and that per-row cost dominated a linear gradient step;
+    Overwrites logits, laid out sample-major as in Model.buffers, and returns
+    it; any other layout raises ValueError, since the residual would land in
+    a copy. The work runs class-major, on a (C, M) copy of the M rows of
+    logits, made in P if given and in a fresh array if not. Row-major, the
+    max and the sum reduce the short class axis (10 wide here) once per row,
+    M times per call, and that per-row cost dominated a linear gradient step;
     class-major, each step is a few calls over rows of length M. _sum_rows
     keeps the normalising sums equal to np.sum(axis=-1) bit for bit, so
     trained models do not change.
     """
-    flat = logits.reshape(-1, logits.shape[-1])
+    rows = logits.swapaxes(0, -2)
+    if not rows.flags.c_contiguous:
+        raise ValueError("logits must be sample-major: logits.swapaxes(0, -2) C-contiguous")
+    flat = rows.reshape(-1, logits.shape[-1])
     if P is None:
         P = np.empty(flat.T.shape)
     P[...] = flat.T
     P -= P.max(axis=0)
     np.exp(P, out=P)
     P /= _sum_rows(P)
-    P[y.reshape(-1), np.arange(P.shape[1])] -= 1.0
+    M = P.shape[1]
+    P.reshape(-1)[y.swapaxes(0, -1).reshape(-1) * M + np.arange(M)] -= 1.0
     np.divide(P.T, y.shape[-1], out=flat)
     return logits
 
@@ -154,10 +159,16 @@ class Model:
         which holds the tanh activations and the logits; one backpropagated
         residual per hidden layer, shaped like its output; the (C, M)
         class-major softmax copy; the (…, dim) packed gradient, and its
-        unpack views, which the backward pass writes.
+        unpack views, which the backward pass writes. The logits are a
+        sample-major (N, …, C) array seen through swapaxes(0, -2), so the
+        bias gradient sums contiguous rows; the hidden outputs stay
+        row-major, which the MLP and ALIE steps run faster on.
         """
-        outs = [np.empty(shape + (n_out,)) for (n_out, _), *_ in self._layers]
-        deltas = [np.empty_like(h) for h in outs[:-1]]
+        outs = [np.empty(shape + (n_out,)) for (n_out, _), *_ in self._layers[:-1]]
+        deltas = [np.empty_like(h) for h in outs]
+        dims = [*shape, self._layers[-1][0][0]]
+        dims[0], dims[-2] = dims[-2], dims[0]
+        outs.append(np.empty(dims).swapaxes(0, -2))
         P = np.empty((outs[-1].shape[-1], math.prod(shape)))
         grad = np.empty(shape[:-1] + (self.dim,))
         return outs, deltas, P, grad, self.unpack(grad)

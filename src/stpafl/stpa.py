@@ -128,14 +128,13 @@ def bipartition(S: np.ndarray) -> tuple[tuple, tuple]:
     D = 1.0 - np.asarray(S, dtype=np.float64)
     np.fill_diagonal(D, np.inf)
     members = {i: [i] for i in range(n)}
-    # The bound method skips np.argmin's dispatch wrapper on every merge.
-    argmin = D.argmin
+    # Bound once, so a merge pays neither np.argmin's wrapper nor D's indexing.
+    argmin, rows, cols = D.argmin, list(D), list(D.T)
     for _ in range(n - 2):
         a, b = divmod(int(argmin()), n)
-        np.maximum(D[a], D[b], out=D[a])
-        D[:, a] = D[a]
-        D[b] = np.inf
-        D[:, b] = np.inf
+        cols[a][:] = np.maximum(rows[a], rows[b], out=rows[a])
+        rows[b].fill(np.inf)
+        cols[b].fill(np.inf)
         members[a] += members.pop(b)
     c1, c2 = (tuple(sorted(m)) for m in members.values())
     return c1, c2

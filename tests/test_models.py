@@ -145,13 +145,21 @@ def test_two_hidden_layers_gradient_and_width():
     assert np.array_equal(pack(model, *model.unpack(p)), p)
 
 
+def sample_major(a):
+    """A copy of a laid out as Model.buffers lays out the logits."""
+    return np.ascontiguousarray(a.swapaxes(0, -2)).swapaxes(0, -2)
+
+
 def reference_gradient(model, params, X, y):
     """Reference: the gradient as it was computed with a fresh array per operation."""
     layers = model.unpack(params)
     inputs = [X]
     for W, b in zip(layers[0:-2:2], layers[1:-2:2]):
         inputs.append(np.tanh(inputs[-1] @ models._T(W) + b[..., None, :]))
-    delta = models._softmax_residual(inputs[-1] @ models._T(layers[-2]) + layers[-1][..., None, :], y)
+    logits = inputs[-1] @ models._T(layers[-2]) + layers[-1][..., None, :]
+    # Row-major again after the softmax, so the backward pass below runs on
+    # the layout it always had, whatever layout Model.gradient uses.
+    delta = np.ascontiguousarray(models._softmax_residual(sample_major(logits), y))
     grads = [None] * len(layers)
     for k in reversed(range(len(inputs))):
         h = inputs[k]
@@ -162,14 +170,10 @@ def reference_gradient(model, params, X, y):
     return pack(model, *grads)
 
 
-@pytest.mark.parametrize("hidden", [(), (9,), (7, 5)], ids=["linear", "one_hidden", "two_hidden"])
-@pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["one_model", "block", "two_lead_axes"])
-@pytest.mark.parametrize("n", [12, 3], ids=["full_batch", "minibatch"])
-def test_gradient_into_buffers_equals_fresh_arrays_bitwise(hidden, lead, n):
-    rng = np.random.default_rng(len(hidden) * 100 + len(lead) * 10 + n)
-    model = Model(6, 4, hidden)
-    X = rng.standard_normal(lead + (n, 6))
-    y = rng.integers(0, 4, size=lead + (n,))
+def assert_gradient_into_buffers_bitwise(rng, F, C, hidden, lead, n):
+    model = Model(F, C, hidden)
+    X = rng.standard_normal(lead + (n, F))
+    y = rng.integers(0, C, size=lead + (n,))
     buffers = model.buffers(y.shape)
     for _ in range(2):  # the second call runs on buffers the first one filled
         p = rng.standard_normal(lead + (model.dim,))
@@ -178,6 +182,26 @@ def test_gradient_into_buffers_equals_fresh_arrays_bitwise(hidden, lead, n):
         assert into is buffers[3]
         assert np.array_equal(into, fresh)
         assert np.array_equal(fresh, reference_gradient(model, p, X, y))
+
+
+@pytest.mark.parametrize("hidden", [(), (9,), (7, 5)], ids=["linear", "one_hidden", "two_hidden"])
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["one_model", "block", "two_lead_axes"])
+@pytest.mark.parametrize("n", [12, 3], ids=["full_batch", "minibatch"])
+def test_gradient_into_buffers_equals_fresh_arrays_bitwise(hidden, lead, n):
+    rng = np.random.default_rng(len(hidden) * 100 + len(lead) * 10 + n)
+    assert_gradient_into_buffers_bitwise(rng, 6, 4, hidden, lead, n)
+
+
+@pytest.mark.parametrize(
+    "hidden,lead,n",
+    [((), (66,), 20), ((), (13,), 10), ((200,), (3,), 100)],
+    ids=["device_linear", "alie_linear", "krum_mlp"],
+)
+def test_gradient_into_buffers_bitwise_at_workload_block_shapes(hidden, lead, n):
+    # The benchmark workloads' training blocks: F = 20, C = 10. The packed
+    # gradient compared below holds every bias row.
+    rng = np.random.default_rng(lead[0] * 1000 + n)
+    assert_gradient_into_buffers_bitwise(rng, 20, 10, hidden, lead, n)
 
 
 def test_fresh_gradient_is_not_overwritten_by_a_later_call():
@@ -303,11 +327,22 @@ def test_softmax_residual_equals_row_wise_reference(lead, C):
     flat[2, 1] = np.nan
     flat[3] = -np.inf
     y = rng.integers(0, C, size=lead)
-    got = logits.copy()
+    got = sample_major(logits)
     with np.errstate(invalid="ignore"):  # inf - inf in the rows made nonfinite above
         want = softmax_residual_reference(logits.copy(), y)
         assert models._softmax_residual(got, y) is got
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("C", [2, 10])
+def test_softmax_residual_rejects_a_row_major_block(C):
+    # Its residual would land in a reshape copy and be lost.
+    rng = np.random.default_rng(C)
+    logits, y = rng.standard_normal((4, 12, C)), rng.integers(0, C, size=(4, 12))
+    kept = logits.copy()
+    with pytest.raises(ValueError, match="sample-major"):
+        models._softmax_residual(logits, y)
+    assert np.array_equal(logits, kept)
 
 
 def per_client_train(model, params, dataset, cfg, seed=0):

@@ -325,6 +325,18 @@ def test_bipartition_matches_reference(levels):
         assert stpa.bipartition(S) == bipartition_reference(S)
 
 
+@pytest.mark.parametrize("n,copies", [(100, 34), (200, 0)], ids=["ipm_roster", "n200"])
+def test_bipartition_matches_reference_on_submitted_rows(n, copies):
+    # The device workload's roster: the malicious clients submit one shared
+    # IPM row, so the affinity holds a block of equal near-zero distances,
+    # every pair in it a tie.
+    rng = np.random.default_rng(n + copies)
+    X = rng.standard_normal((n, 210))
+    X[:copies] = X[0]
+    S = stpa.build_affinity(np.zeros(210), X)
+    assert stpa.bipartition(S) == bipartition_reference(S)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=2, max_value=24).flatmap(
