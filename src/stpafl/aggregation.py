@@ -82,12 +82,11 @@ class ClientUpdate:
         return self.model.shape[0]
 
 
-def krum_scores(updates: list[ClientUpdate], f: int, rows: np.ndarray | None = None) -> np.ndarray:
+def krum_scores(updates: list[ClientUpdate], f: int, rows: np.ndarray) -> np.ndarray:
     """Per update, the sum of distances to its n-f-2 nearest peers; +inf outside `rows`."""
     n, d = len(updates), updates[0].dim
     if n - f - 2 < 1:
         raise ValueError(f"krum needs n - f - 2 >= 1, got n={n}, f={f}")
-    rows = range(n) if rows is None else rows
     models = [u.model for u in updates]
     D = np.empty((len(rows), n))
     block = max(1, 2**15 // d)  # rows per 256 KB scratch block: peers, then differences

@@ -37,13 +37,13 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind: {self.kind}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.high < self.low:
+        if not self.high >= self.low:
             raise ValueError("noise high must be >= low")
-        if self.clip_hi <= self.clip_lo:
+        if not self.clip_hi > self.clip_lo:
             raise ValueError("clip bounds must be ordered")
         if self.target < 0:
             raise ValueError("target must be nonnegative")

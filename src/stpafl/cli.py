@@ -82,10 +82,6 @@ def from_dict(cls, obj: dict, where: str):
         raise ConfigError(str(exc)) from exc
 
 
-def parse_config(obj: dict) -> ScenarioConfig:
-    return from_dict(ScenarioConfig, obj, "config")
-
-
 def load_config(path, seed_flag: int | None) -> ScenarioConfig:
     try:
         with open(path) as fh:
@@ -104,7 +100,7 @@ def load_config(path, seed_flag: int | None) -> ScenarioConfig:
             raise ConfigError(f"BB_SEED is not an integer: {env_seed!r}") from exc
     if seed_flag is not None:
         obj["seed"] = seed_flag
-    return parse_config(obj)
+    return from_dict(ScenarioConfig, obj, "config")
 
 
 def _fmt(value) -> str:
@@ -141,15 +137,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def final_stats(logs, last_n: int = 10) -> tuple[float, float]:
-    """Mean and std of test error over the last last_n rounds."""
-    errs = np.array([log.test_error_pct for log in logs[-last_n:]])
-    return float(errs.mean()), float(errs.std())
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.seed)
-    # final_stats averages the last rounds' errors, which needs at least one.
+    # The final error is the mean over the last 10 rounds, which needs at least one.
     if cfg.rounds < 1:
         raise ConfigError("sweep needs rounds >= 1")
     try:
@@ -164,9 +154,8 @@ def cmd_sweep(args) -> int:
     for fraction in fractions:
         n_malicious = int(round(fraction * cfg.n_clients))
         sub = replace(cfg, n_malicious=n_malicious)
-        logs = run_experiment(sub)
-        mean, std = final_stats(logs)
-        rows.append((fraction, cfg.rule.kind, cfg.attack.kind, mean, std))
+        errs = np.array([log.test_error_pct for log in run_experiment(sub)[-10:]])
+        rows.append((fraction, cfg.rule.kind, cfg.attack.kind, float(errs.mean()), float(errs.std())))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w") as fh:

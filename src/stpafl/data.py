@@ -89,22 +89,6 @@ class ClientPool:
         return cls(stacks, counts)
 
 
-def normalize(dataset: LabeledDataset, lo: float, hi: float) -> LabeledDataset:
-    """Affinely map the global feature range into [lo, hi].
-
-    A degenerate raw range (max == min) maps everything to the midpoint.
-    """
-    if hi <= lo:
-        raise ValueError("hi must exceed lo")
-    fmin = dataset.features.min()
-    fmax = dataset.features.max()
-    if fmax == fmin:
-        mapped = np.full_like(dataset.features, (lo + hi) / 2.0)
-    else:
-        mapped = lo + (dataset.features - fmin) * (hi - lo) / (fmax - fmin)
-    return LabeledDataset(mapped, dataset.labels.copy(), dataset.n_classes)
-
-
 def generate_blobs(
     n_classes: int,
     dim: int,
@@ -117,8 +101,9 @@ def generate_blobs(
     Centroids are seed-dependent signed hypercube corners (6 * {-1,+1}^dim
     plus a small jitter), which keeps them pairwise separated, gives the
     features near-zero mean, and spreads signal across every coordinate.
-    Features are normalized into [-1, 1] afterwards. The sizes and spread
-    are those of a BlobsDataConfig, which checks their ranges.
+    Features are then mapped affinely onto [-1, 1], global min to -1 and max
+    to 1. The sizes and spread are those of a BlobsDataConfig, which checks
+    their ranges.
     """
     rng = np.random.default_rng(seed)
     corners = rng.choice([-1.0, 1.0], size=(n_classes, dim))
@@ -136,8 +121,14 @@ def generate_blobs(
     features = rng.standard_normal((n_classes, samples_per_class, dim))
     features *= spread
     features += centroids[:, None]
+    fmin, fmax = features.min(), features.max()
+    # -1 + (x - fmin) * 2 / (fmax - fmin), in that order of operations.
+    features -= fmin
+    features *= 2.0
+    features /= fmax - fmin
+    features += -1.0
     labels = np.repeat(np.arange(n_classes), samples_per_class)
-    return normalize(LabeledDataset(features.reshape(-1, dim), labels, n_classes), -1.0, 1.0)
+    return LabeledDataset(features.reshape(-1, dim), labels, n_classes)
 
 
 def _read_idx_header(raw: bytes, path, expected_magic: int, n_dims: int):

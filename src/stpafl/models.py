@@ -25,7 +25,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.local_steps < 1:
             raise ValueError("local_steps must be >= 1")
-        if self.local_lr <= 0:
+        if not self.local_lr > 0:
             raise ValueError("local_lr must be positive")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -84,25 +84,22 @@ def _sum_rows(P: np.ndarray) -> np.ndarray:
     return s
 
 
-def _softmax_residual(logits: np.ndarray, y: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
+def _softmax_residual(logits: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:
     """d(mean cross-entropy)/d(logits) = (softmax - onehot(y)) / n_samples.
 
     Overwrites logits, laid out sample-major as in Model.buffers, and returns
     it; any other layout raises ValueError, since the residual would land in
     a copy. The work runs class-major, on a (C, M) copy of the M rows of
-    logits, made in P if given and in a fresh array if not. Row-major, the
-    max and the sum reduce the short class axis (10 wide here) once per row,
-    M times per call, and that per-row cost dominated a linear gradient step;
-    class-major, each step is a few calls over rows of length M. _sum_rows
-    keeps the normalising sums equal to np.sum(axis=-1) bit for bit, so
-    trained models do not change.
+    logits, made in P. Row-major, the max and the sum reduce the short class
+    axis (10 wide here) once per row, M times per call, and that per-row cost
+    dominated a linear gradient step; class-major, each step is a few calls
+    over rows of length M. _sum_rows keeps the normalising sums equal to
+    np.sum(axis=-1) bit for bit, so trained models do not change.
     """
     rows = logits.swapaxes(0, -2)
     if not rows.flags.c_contiguous:
         raise ValueError("logits must be sample-major: logits.swapaxes(0, -2) C-contiguous")
     flat = rows.reshape(-1, logits.shape[-1])
-    if P is None:
-        P = np.empty(flat.T.shape)
     P[...] = flat.T
     P -= P.max(axis=0)
     np.exp(P, out=P)

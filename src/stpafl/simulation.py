@@ -44,7 +44,7 @@ class BlobsDataConfig:
             raise ValueError("dim must be >= 1")
         if self.samples_per_class < 1 or self.test_samples_per_class < 1:
             raise ValueError("samples_per_class and test_samples_per_class must be >= 1")
-        if self.spread < 0:
+        if not self.spread >= 0:
             raise ValueError("spread must be nonnegative")
 
 

@@ -10,7 +10,9 @@ momentum speculation v is a plain array that the caller carries between rounds.
 Cosine similarity follows a zero-norm convention: a vector with norm below
 ZERO_NORM_EPS carries no directional information and yields similarity 0, so
 the alpha <= 0 gate discards such rounds instead of propagating NaN. In the
-affinity matrix, rows whose norm overflows to inf get similarity 0 as well.
+affinity matrix built from one Gram product, rows whose norm overflows to inf
+get similarity 0 as well; build_affinity's per-pair branch for at most
+PAIRWISE_MAX_SLOTS slots can give them NaN instead.
 """
 
 from __future__ import annotations
@@ -25,22 +27,20 @@ from .aggregation import AggregationRule, apply_rule
 # Norms below this are treated as zero for cosine similarity.
 ZERO_NORM_EPS = 1e-12
 
-DEFAULT_INNER_RULE = AggregationRule("coordinate_median")
-
 
 @dataclass(frozen=True)
 class StpaConfig:
     s_t: float = 0.02
     beta: float = 0.5
     eta0: float = 1.0
-    inner_rule: AggregationRule = DEFAULT_INNER_RULE
+    inner_rule: AggregationRule = AggregationRule("coordinate_median")
 
     def __post_init__(self):
         if not -1.0 < self.s_t < 1.0:
             raise ValueError("s_t must be in (-1, 1)")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
-        if self.eta0 <= 0:
+        if not self.eta0 > 0:
             raise ValueError("eta0 must be positive")
         if self.inner_rule.kind == "stpa":
             raise ValueError("inner rule cannot be stpa itself")
@@ -140,49 +140,22 @@ def bipartition(S: np.ndarray) -> tuple[tuple, tuple]:
     return c1, c2
 
 
-def cross_similarity(S: np.ndarray, c1, c2) -> float:
-    return float(S[np.ix_(c1, c2)].max())
-
-
-def split_decision(cross: float, c1, c2, s_t: float) -> tuple:
-    """Keep the larger cluster when the clusters are clearly separated.
+def partition_round(S: np.ndarray, s_t: float) -> ClusterPartition:
+    """Bipartition S; keep the larger cluster when the clusters are clearly separated.
 
     The split only proceeds when the max cross-cluster similarity is strictly
     below s_t; equal-size ties are treated as inconclusive and keep the union.
     """
-    if cross < s_t and len(c1) != len(c2):
-        return c1 if len(c1) > len(c2) else c2
-    return tuple(sorted(c1 + c2))
-
-
-def partition_round(S: np.ndarray, s_t: float) -> ClusterPartition:
     c1, c2 = bipartition(S)
-    cross = cross_similarity(S, c1, c2)
-    return ClusterPartition(c1, c2, cross, split_decision(cross, c1, c2, s_t))
+    cross = float(S[np.ix_(c1, c2)].max())
+    if cross < s_t and len(c1) != len(c2):
+        return ClusterPartition(c1, c2, cross, max(c1, c2, key=len))
+    return ClusterPartition(c1, c2, cross, tuple(sorted(c1 + c2)))
 
 
 def momentum_step(v: np.ndarray, delta_w: np.ndarray, beta: float) -> np.ndarray:
     """v <- beta * v + (1 - beta) * delta_w, as a new array."""
     return beta * v + (1.0 - beta) * delta_w
-
-
-def adaptive_update(
-    w_t: np.ndarray,
-    v: np.ndarray,
-    delta_w: np.ndarray,
-    eta0: float,
-    benign_count: int,
-) -> StepOutcome:
-    """Step w_t - eta0 * alpha * v, or discard the round when alpha <= 0.
-
-    alpha is the cosine agreement between the round's aggregated
-    pseudo-gradient and the momentum speculation v (already updated).
-    """
-    alpha = cosine_similarity(delta_w, v)
-    if alpha <= 0.0:
-        return StepOutcome(w_t, alpha, 0.0, True, benign_count)
-    eta = eta0 * alpha
-    return StepOutcome(w_t - eta * v, alpha, eta, False, benign_count)
 
 
 def stpa_round(
@@ -194,9 +167,11 @@ def stpa_round(
 ) -> tuple[StepOutcome, np.ndarray]:
     """One full round over the (n, d) submissions X and their sample counts.
 
-    Spatial filter, inner aggregation of the kept rows, temporal gate. Returns
-    the outcome and the updated v, which advances even when the step is
-    discarded. w_t, X and the incoming v are not modified.
+    Spatial filter, inner aggregation of the kept rows, temporal gate: the
+    step is w_t - eta0 * alpha * v, where alpha is the cosine agreement of the
+    aggregated pseudo-gradient with the updated v, and the round is discarded
+    when alpha <= 0. Returns the outcome and the updated v, which advances
+    even when the step is discarded. w_t, X and the incoming v are not modified.
     """
     if len(X) == 0:
         raise ValueError("empty update list")
@@ -209,4 +184,8 @@ def stpa_round(
     aggregated = apply_rule(cfg.inner_rule, X[benign], counts[benign])
     delta_w = w_t - aggregated
     v = momentum_step(v, delta_w, cfg.beta)
-    return adaptive_update(w_t, v, delta_w, cfg.eta0, len(benign)), v
+    alpha = cosine_similarity(delta_w, v)
+    if alpha <= 0.0:
+        return StepOutcome(w_t, alpha, 0.0, True, len(benign)), v
+    eta = cfg.eta0 * alpha
+    return StepOutcome(w_t - eta * v, alpha, eta, False, len(benign)), v

@@ -134,7 +134,7 @@ def test_trimmed_mean_gamma_bounds():
 
 def test_krum_identical_updates():
     X, _ = mk([[2.0, -1.0]] * 5)
-    scores = aggregation.krum_scores(as_updates(X), 1)
+    scores = aggregation.krum_scores(as_updates(X), 1, range(len(X)))
     assert np.array_equal(scores, np.zeros(5))
     assert np.array_equal(aggregation.krum(X, 1, 1), X[0])
 
@@ -144,7 +144,7 @@ def test_krum_hand_example():
     # nearest-neighbor distance; slots 0-2 all score 0.1 but the outlier
     # scores 99.8, and the tie goes to the smallest slot.
     X, _ = mk([[0.0], [0.1], [0.2], [100.0]])
-    scores = aggregation.krum_scores(as_updates(X), 1)
+    scores = aggregation.krum_scores(as_updates(X), 1, range(len(X)))
     assert np.allclose(scores, [0.1, 0.1, 0.1, 99.8])
     assert aggregation.krum_selection(X, 1, 1) == [0]
     assert np.array_equal(aggregation.krum(X, 1, 1), np.array([0.0]))
@@ -180,7 +180,7 @@ def test_krum_scores_match_reference(n, d, f, integer):
         X = rng.standard_normal((n, d))
         X[1] = X[0]  # a duplicate gives an exact zero distance
         X *= rng.uniform(0.1, 100.0, size=(n, 1))
-    got, want = aggregation.krum_scores(as_updates(X), f), krum_scores_reference(X, f)
+    got, want = aggregation.krum_scores(as_updates(X), f, range(n)), krum_scores_reference(X, f)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     # An unsorted subset whose first row is in the last peer block.
@@ -199,7 +199,7 @@ def test_client_update_dim():
 def test_krum_parameter_validation():
     X, _ = mk([[0.0]] * 4)
     with pytest.raises(ValueError):
-        aggregation.krum_scores(as_updates(X), 2)  # n - f - 2 = 0
+        aggregation.krum_scores(as_updates(X), 2, range(4))  # n - f - 2 = 0
     with pytest.raises(ValueError):
         aggregation.krum_selection(X, 1, 2)  # m > n - f - 2
 
@@ -249,7 +249,7 @@ def test_krum_selection_rescores_only_rows_it_cannot_rule_out(monkeypatch):
     scored = []
     exact = aggregation.krum_scores
 
-    def spy(updates, f, rows=None):
+    def spy(updates, f, rows):
         scored.append(len(rows))
         return exact(updates, f, rows)
 

@@ -23,6 +23,7 @@ from stpafl.simulation import (
     ScenarioConfig,
 )
 from stpafl.stpa import StpaConfig
+from test_data import idx_image_bytes, idx_label_bytes
 
 
 def base_config(**kw):
@@ -188,6 +189,30 @@ def test_run_unknown_key_rejected(tmp_path):
             {"attack": {"kind": "label_flip", "target": 3}},
             "target 3 out of range [0, 3)",
             id="blobs_label_flip_target_out_of_range",
+        ),
+        pytest.param({"train": 5}, "config.train must be a JSON object", id="nested_not_object"),
+        pytest.param(
+            {"attack": {"kind": "noisy", "clip_lo": 1.0, "clip_hi": -1.0}},
+            "clip bounds must be ordered",
+            id="clip_bounds_unordered",
+        ),
+        pytest.param(
+            {"attack": {"kind": "label_flip", "target": -1}},
+            "target must be nonnegative",
+            id="label_flip_target_negative",
+        ),
+        pytest.param({"rule": {"kind": "krum", "f": -1, "m": 1}}, "krum requires f >= 0", id="krum_f_negative"),
+        pytest.param({"model": {"kind": "cnn"}}, "unknown model kind: cnn", id="model_kind_unknown"),
+        pytest.param(
+            {"partition": {"scheme": "dirichlet"}},
+            "unknown partition scheme: dirichlet",
+            id="partition_scheme_unknown",
+        ),
+        pytest.param({"n_clients": 0}, "n_clients must be >= 1", id="n_clients_0"),
+        pytest.param(
+            {"clients_per_round": 0},
+            "clients_per_round must be in [1, n_clients]",
+            id="clients_per_round_0",
         ),
     ],
 )
@@ -383,10 +408,58 @@ def test_negative_seed_override_exits_2_before_output(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, env, message",
+    [
+        pytest.param("[1, 2]", {}, "config must be a JSON object", id="top_level_not_object"),
+        pytest.param("{}", {"BB_SEED": "7x"}, "BB_SEED is not an integer: '7x'", id="seed_env_not_int"),
+    ],
+)
+def test_config_file_or_seed_env_not_usable_exits_2_before_output(
+    tmp_path, capsys, monkeypatch, text, env, message
+):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: TrainConfig(local_lr=np.nan), "local_lr must be positive", id="local_lr"),
+        pytest.param(lambda: StpaConfig(eta0=np.nan), "eta0 must be positive", id="eta0"),
+        pytest.param(lambda: StpaConfig(s_t=np.nan), "s_t must be in (-1, 1)", id="s_t"),
+        pytest.param(lambda: StpaConfig(beta=np.nan), "beta must be in [0, 1)", id="beta"),
+        pytest.param(
+            lambda: AggregationRule("trimmed_mean", gamma=np.nan),
+            "trimmed_mean requires gamma in (0, 0.5)",
+            id="gamma",
+        ),
+        pytest.param(lambda: AttackSpec(sigma=np.nan), "sigma must be nonnegative", id="sigma"),
+        pytest.param(lambda: AttackSpec(epsilon=np.nan), "epsilon must be nonnegative", id="epsilon"),
+        pytest.param(lambda: AttackSpec(low=np.nan), "noise high must be >= low", id="low"),
+        pytest.param(lambda: AttackSpec(high=np.nan), "noise high must be >= low", id="high"),
+        pytest.param(lambda: AttackSpec(clip_lo=np.nan), "clip bounds must be ordered", id="clip_lo"),
+        pytest.param(lambda: AttackSpec(clip_hi=np.nan), "clip bounds must be ordered", id="clip_hi"),
+        pytest.param(lambda: BlobsDataConfig(spread=np.nan), "spread must be nonnegative", id="spread"),
+    ],
+)
+def test_nan_fails_the_range_check_when_the_config_is_built(build, message):
+    # The CLI rejects NaN and +-inf before building a config; built directly,
+    # the range checks must reject NaN themselves.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_float_field_takes_int_and_optional_field_takes_null():
-    cfg = cli.parse_config(
-        base_config(attack={"kind": "byzantine_gaussian", "sigma": 3}, train={"batch_size": None})
-    )
+    obj = base_config(attack={"kind": "byzantine_gaussian", "sigma": 3}, train={"batch_size": None})
+    cfg = cli.from_dict(ScenarioConfig, obj, "config")
     assert cfg.attack.sigma == 3.0
     assert cfg.train.batch_size is None
 
@@ -469,7 +542,7 @@ def test_round_trip_configs_cover_every_field():
 
 @pytest.mark.parametrize("cfg", ROUND_TRIP_CONFIGS, ids=lambda c: f"seed{c.seed}")
 def test_parse_config_round_trips_asdict(cfg):
-    assert cli.parse_config(asdict(cfg)) == cfg
+    assert cli.from_dict(ScenarioConfig, asdict(cfg), "config") == cfg
 
 
 def test_run_byte_identical_reruns(tmp_path):
@@ -480,6 +553,27 @@ def test_run_byte_identical_reruns(tmp_path):
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out2)]) == 0
     assert (out1 / "rounds.jsonl").read_bytes() == (out2 / "rounds.jsonl").read_bytes()
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+
+def test_run_on_idx_data_byte_identical_reruns(tmp_path):
+    # 3 classes of 2x3 images whose pixels grow with the class, 20 per class to
+    # train and 5 to test, in the IDX format of the paper's public datasets.
+    rng = np.random.default_rng(11)
+    paths = {}
+    for split, per_class in (("train", 20), ("test", 5)):
+        labels = np.repeat(np.arange(3), per_class)
+        images = rng.integers(0, 60, size=(len(labels), 2, 3)) + 90 * labels[:, None, None]
+        for part, raw in (("images", idx_image_bytes(images)), ("labels", idx_label_bytes(labels))):
+            paths[f"{split}_{part}"] = str(tmp_path / f"{split}-{part}.idx")
+            Path(paths[f"{split}_{part}"]).write_bytes(raw)
+    cfg_path = write_config(tmp_path, base_config(data={"kind": "idx", **paths}, rule={"kind": "stpa"}))
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    for out in outs:
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in (outs[0] / "rounds.jsonl").read_text().splitlines()]
+    assert [rec["round"] for rec in records] == [0, 1, 2]
+    for name in ("rounds.jsonl", "summary.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_killed_run_leaves_a_valid_prefix(tmp_path):

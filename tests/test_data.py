@@ -38,25 +38,13 @@ def test_subset():
     assert np.array_equal(sub.labels, [0, 0])
 
 
-def test_normalize_endpoints_and_midpoint():
-    ds = LabeledDataset(np.array([[0.0, 127.5, 255.0]]), np.array([0]), 1)
-    out = data.normalize(ds, -1.0, 1.0)
-    assert np.allclose(out.features, [[-1.0, 0.0, 1.0]])
-
-
-def test_normalize_degenerate_range():
-    ds = LabeledDataset(np.full((2, 2), 7.0), np.array([0, 0]), 1)
-    out = data.normalize(ds, -1.0, 1.0)
-    assert np.array_equal(out.features, np.zeros((2, 2)))
-
-
 def test_blobs_construction():
     ds = data.generate_blobs(2, 5, 100, 1.0, 42)
     assert len(ds) == 200
     assert ds.n_features == 5
     counts = np.bincount(ds.labels)
     assert np.array_equal(counts, [100, 100])
-    assert ds.features.min() >= -1.0 and ds.features.max() <= 1.0
+    assert ds.features.min() == -1.0 and ds.features.max() == 1.0
 
 
 def test_blobs_zero_spread_collapses_to_centroids():
@@ -111,6 +99,28 @@ def test_load_idx_truncated(tmp_path):
     ip.write_bytes(idx_image_bytes([[[0, 1], [2, 3]]])[:-2])  # drop 2 pixel bytes
     lp.write_bytes(idx_label_bytes([0]))
     with pytest.raises(IdxFormatError, match="expected 4 pixel bytes, got 2"):
+        data.load_idx(ip, lp)
+
+
+@pytest.mark.parametrize(
+    "images, labels, message",
+    [
+        pytest.param(
+            idx_image_bytes([[[0]]]), idx_label_bytes([0])[:7], "file shorter than its header",
+            id="short_label_header",
+        ),
+        pytest.param(
+            idx_image_bytes([[[0]], [[1]]]), idx_label_bytes([0, 1])[:-1], "expected 2 label bytes, got 1",
+            id="short_labels",
+        ),
+    ],
+)
+def test_load_idx_short_file(tmp_path, images, labels, message):
+    ip = tmp_path / "imgs.idx"
+    lp = tmp_path / "labels.idx"
+    ip.write_bytes(images)
+    lp.write_bytes(labels)
+    with pytest.raises(IdxFormatError, match=message):
         data.load_idx(ip, lp)
 
 
@@ -190,3 +200,10 @@ def test_csv_without_rows_loads_header_width(tmp_path):
     back = data.load_csv(p)
     assert back.features.shape == (0, 4)
     assert len(back.labels) == 0 and back.n_classes == 3
+
+
+def test_csv_without_n_classes_line_rejected(tmp_path):
+    p = tmp_path / "bare.csv"
+    p.write_text("label,f0\n0,0.5\n")
+    with pytest.raises(ValueError, match="missing n_classes header line"):
+        data.load_csv(p)

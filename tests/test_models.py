@@ -159,7 +159,8 @@ def reference_gradient(model, params, X, y):
     logits = inputs[-1] @ models._T(layers[-2]) + layers[-1][..., None, :]
     # Row-major again after the softmax, so the backward pass below runs on
     # the layout it always had, whatever layout Model.gradient uses.
-    delta = np.ascontiguousarray(models._softmax_residual(sample_major(logits), y))
+    P = np.empty((logits.shape[-1], y.size))
+    delta = np.ascontiguousarray(models._softmax_residual(sample_major(logits), y, P))
     grads = [None] * len(layers)
     for k in reversed(range(len(inputs))):
         h = inputs[k]
@@ -330,7 +331,7 @@ def test_softmax_residual_equals_row_wise_reference(lead, C):
     got = sample_major(logits)
     with np.errstate(invalid="ignore"):  # inf - inf in the rows made nonfinite above
         want = softmax_residual_reference(logits.copy(), y)
-        assert models._softmax_residual(got, y) is got
+        assert models._softmax_residual(got, y, np.empty((C, y.size))) is got
     assert np.array_equal(got, want, equal_nan=True)
 
 
@@ -341,7 +342,7 @@ def test_softmax_residual_rejects_a_row_major_block(C):
     logits, y = rng.standard_normal((4, 12, C)), rng.integers(0, C, size=(4, 12))
     kept = logits.copy()
     with pytest.raises(ValueError, match="sample-major"):
-        models._softmax_residual(logits, y)
+        models._softmax_residual(logits, y, np.empty((C, y.size)))
     assert np.array_equal(logits, kept)
 
 

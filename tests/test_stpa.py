@@ -367,35 +367,30 @@ def test_bipartition_is_ordered_partition(case, s_t):
 
 def test_split_keeps_larger_cluster():
     S, labels = planted_affinity(np.random.default_rng(1), (13, 7), 0.9, -1.0)
-    c1 = tuple(np.flatnonzero(labels == 0))
-    c2 = tuple(np.flatnonzero(labels == 1))
-    cross = stpa.cross_similarity(S, c1, c2)
-    benign = stpa.split_decision(cross, c1, c2, 0.02)
-    assert benign == tuple(sorted(c1))
+    part = stpa.partition_round(S, 0.02)
+    assert part.cross_similarity == -1.0
+    assert part.benign == tuple(np.flatnonzero(labels == 0))
 
 
 def test_split_union_when_cross_high():
-    S, labels = planted_affinity(np.random.default_rng(2), (3, 2), 0.9, 0.5)
-    c1 = tuple(np.flatnonzero(labels == 0))
-    c2 = tuple(np.flatnonzero(labels == 1))
-    cross = stpa.cross_similarity(S, c1, c2)
-    assert stpa.split_decision(cross, c1, c2, 0.02) == (0, 1, 2, 3, 4)
+    S, _ = planted_affinity(np.random.default_rng(2), (3, 2), 0.9, 0.5)
+    part = stpa.partition_round(S, 0.02)
+    assert part.cross_similarity == 0.5
+    assert part.benign == (0, 1, 2, 3, 4)
 
 
 def test_split_boundary_is_strict():
-    S, labels = planted_affinity(np.random.default_rng(3), (3, 2), 0.9, 0.02)
-    c1 = tuple(np.flatnonzero(labels == 0))
-    c2 = tuple(np.flatnonzero(labels == 1))
-    cross = stpa.cross_similarity(S, c1, c2)
-    assert stpa.split_decision(cross, c1, c2, 0.02) == (0, 1, 2, 3, 4)
+    S, _ = planted_affinity(np.random.default_rng(3), (3, 2), 0.9, 0.02)
+    part = stpa.partition_round(S, 0.02)
+    assert part.cross_similarity == 0.02
+    assert part.benign == (0, 1, 2, 3, 4)
 
 
 def test_split_equal_sizes_keep_union():
-    S, labels = planted_affinity(np.random.default_rng(4), (3, 3), 0.9, -0.8)
-    c1 = tuple(np.flatnonzero(labels == 0))
-    c2 = tuple(np.flatnonzero(labels == 1))
-    cross = stpa.cross_similarity(S, c1, c2)
-    assert stpa.split_decision(cross, c1, c2, 0.02) == (0, 1, 2, 3, 4, 5)
+    S, _ = planted_affinity(np.random.default_rng(4), (3, 3), 0.9, -0.8)
+    part = stpa.partition_round(S, 0.02)
+    assert part.cross_similarity == -0.8
+    assert part.benign == (0, 1, 2, 3, 4, 5)
 
 
 # ---------------------------------------------------------------- momentum
@@ -423,18 +418,28 @@ def test_momentum_geometric_closed_form(T):
 
 # ---------------------------------------------------------------- adaptive update
 
+def one_slot_round(w_t, delta, v):
+    """stpa_round on the one submission w_t - delta, with beta 0.5 and incoming v."""
+    X, counts = mk(w_t, [delta])
+    return stpa.stpa_round(w_t, X, counts, v, StpaConfig(beta=0.5))
+
+
 def test_adaptive_full_step_when_parallel():
+    # v1 = 0.5 * (-v) + 0.5 * 3v = v, parallel to the delta 3v: alpha 1, step w_t - v.
     w_t = np.array([1.0, 1.0])
     v = np.array([0.2, -0.4])
-    out = stpa.adaptive_update(w_t, v, 3.0 * v, 1.0, 1)
+    out, v1 = one_slot_round(w_t, 3.0 * v, -v)
+    assert np.allclose(v1, v)
     assert out.alpha == pytest.approx(1.0)
     assert not out.discarded
     assert np.allclose(out.new_model, w_t - v)
 
 
 def test_adaptive_discard_when_orthogonal():
+    # v1 = 0.5 * (-2, 2) + 0.5 * (2, 0) = (0, 1), orthogonal to the delta (2, 0).
     w_t = np.array([1.0, 1.0])
-    out = stpa.adaptive_update(w_t, np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1.0, 1)
+    out, v1 = one_slot_round(w_t, np.array([2.0, 0.0]), np.array([-2.0, 2.0]))
+    assert np.array_equal(v1, [0.0, 1.0])
     assert out.alpha == 0.0
     assert out.discarded
     assert np.array_equal(out.new_model, w_t)
@@ -442,7 +447,7 @@ def test_adaptive_discard_when_orthogonal():
 
 def test_adaptive_discard_on_zero_delta():
     w_t = np.array([2.0, 2.0])
-    out = stpa.adaptive_update(w_t, np.ones(2), np.zeros(2), 1.0, 1)
+    out, _ = one_slot_round(w_t, np.zeros(2), np.ones(2))
     assert out.alpha == 0.0 and out.discarded
 
 
