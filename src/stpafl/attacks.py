@@ -12,6 +12,7 @@ clients submit w_t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,11 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind: {self.kind}")
-        if not self.sigma >= 0:
+        if not 0 <= self.sigma < math.inf:
             raise ValueError("sigma must be nonnegative")
-        if not self.epsilon >= 0:
+        if not 0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be nonnegative")
-        if not self.high >= self.low:
+        if not -math.inf < self.low <= self.high < math.inf:
             raise ValueError("noise high must be >= low")
         if not self.clip_hi > self.clip_lo:
             raise ValueError("clip bounds must be ordered")
@@ -64,11 +65,22 @@ def ipm_updates(G: np.ndarray, epsilon: float) -> np.ndarray:
 def alie_updates(G: np.ndarray, epsilon: float) -> np.ndarray:
     """The ALIE pseudo-gradient mean(G) - epsilon * std(G) (population std) per coordinate.
 
-    One honest row has std 0, so g is that row; with none, g is 0.
+    One honest row has std 0, so g is that row; with none, g is 0. These are
+    the operations G.mean(axis=0) and G.std(axis=0) run, in the same order,
+    with the mean computed once for both.
     """
-    if len(G) == 0:
+    n = len(G)
+    if n == 0:
         return np.zeros(G.shape[1])
-    return G.mean(axis=0) - epsilon * G.std(axis=0)
+    mean = np.add.reduce(G, axis=0)
+    mean /= n
+    sq = G - mean
+    np.square(sq, out=sq)
+    std = np.add.reduce(sq, axis=0)
+    std /= n
+    np.sqrt(std, out=std)
+    std *= epsilon
+    return np.subtract(mean, std, out=mean)
 
 
 def submissions(spec: AttackSpec, w_t, rows: np.ndarray, mal_ids: list, seed_of) -> np.ndarray:

@@ -25,7 +25,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.local_steps < 1:
             raise ValueError("local_steps must be >= 1")
-        if not self.local_lr > 0:
+        if not 0 < self.local_lr < math.inf:
             raise ValueError("local_lr must be positive")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -84,29 +84,37 @@ def _sum_rows(P: np.ndarray) -> np.ndarray:
     return s
 
 
-def _softmax_residual(logits: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:
+def _label_index(y: np.ndarray) -> np.ndarray:
+    """The flat positions in the (C, M) class-major P of the M labels y, lead + (N,)."""
+    M = y.size
+    return y.swapaxes(0, -1).reshape(-1) * M + np.arange(M)
+
+
+def _softmax_residual(logits: np.ndarray, labels: np.ndarray, P: np.ndarray) -> np.ndarray:
     """d(mean cross-entropy)/d(logits) = (softmax - onehot(y)) / n_samples.
 
-    Overwrites logits, laid out sample-major as in Model.buffers, and returns
-    it; any other layout raises ValueError, since the residual would land in
-    a copy. The work runs class-major, on a (C, M) copy of the M rows of
-    logits, made in P. Row-major, the max and the sum reduce the short class
-    axis (10 wide here) once per row, M times per call, and that per-row cost
-    dominated a linear gradient step; class-major, each step is a few calls
-    over rows of length M. _sum_rows keeps the normalising sums equal to
-    np.sum(axis=-1) bit for bit, so trained models do not change.
+    labels is _label_index(y). Overwrites logits, laid out sample-major as in
+    Model.buffers, and returns it; any other layout raises ValueError, since
+    the residual would land in a copy. The work runs class-major, on a (C, M)
+    copy of the M rows of logits, made in P. Row-major, the max and the sum
+    reduce the short class axis (10 wide here) once per row, M times per
+    call, and that per-row cost dominated a linear gradient step;
+    class-major, each step is a few calls over rows of length M, and the
+    division by n_samples runs on contiguous P before one transposed copy
+    back. _sum_rows keeps the normalising sums equal to np.sum(axis=-1) bit
+    for bit, so trained models do not change.
     """
     rows = logits.swapaxes(0, -2)
     if not rows.flags.c_contiguous:
         raise ValueError("logits must be sample-major: logits.swapaxes(0, -2) C-contiguous")
     flat = rows.reshape(-1, logits.shape[-1])
     P[...] = flat.T
-    P -= P.max(axis=0)
+    P -= np.maximum.reduce(P, axis=0)
     np.exp(P, out=P)
     P /= _sum_rows(P)
-    M = P.shape[1]
-    P.reshape(-1)[y.swapaxes(0, -1).reshape(-1) * M + np.arange(M)] -= 1.0
-    np.divide(P.T, y.shape[-1], out=flat)
+    P.reshape(-1)[labels] -= 1.0
+    P /= logits.shape[-2]
+    flat[...] = P.T
     return logits
 
 
@@ -189,14 +197,18 @@ class Model:
         result is then buffers' gradient array, which the next call with the
         same buffers overwrites. Without buffers every array is fresh.
         """
-        outs, deltas, P, grad, grads = self.buffers(y.shape) if buffers is None else buffers
-        layers = self.unpack(params)
-        delta = _softmax_residual(self._forward(layers, X, outs), y, P)
+        buffers = self.buffers(y.shape) if buffers is None else buffers
+        return self._gradient(self.unpack(params), X, _label_index(y), buffers)
+
+    def _gradient(self, layers, X, labels, buffers) -> np.ndarray:
+        """gradient on unpack(params) and _label_index(y), into buffers."""
+        outs, deltas, P, grad, grads = buffers
+        delta = _softmax_residual(self._forward(layers, X, outs), labels, P)
         inputs = [X, *outs[:-1]]
         for k in reversed(range(len(inputs))):  # layer k: layers[2k] @ inputs[k] + layers[2k+1]
             h = inputs[k]
             np.matmul(_T(delta), h, out=grads[2 * k])
-            np.sum(delta, axis=-2, out=grads[2 * k + 1])
+            np.add.reduce(delta, axis=-2, out=grads[2 * k + 1])
             if k:
                 delta = np.matmul(delta, layers[2 * k], out=deltas[k - 1])
                 h *= h  # the activation's last use: it becomes tanh' = 1 - tanh^2
@@ -239,19 +251,23 @@ def local_train(
         raise ValueError("empty dataset")
     X, y = stack.features, stack.labels
     K, n = y.shape
-    p = np.broadcast_to(params, (K,) + params.shape).copy()
+    p = np.empty((K,) + params.shape)
+    p[...] = params
     size = n if cfg.batch_size is None else min(cfg.batch_size, n)
-    # One set of block-sized buffers serves every step of this call.
+    # One set of block-sized buffers, p's views and, on full batches, the
+    # label index serve every step of this call.
     buffers = model.buffers((K, size))
-    if cfg.batch_size is not None:
+    layers = model.unpack(p)
+    if cfg.batch_size is None:
+        Xb, labels = X, _label_index(y)
+    else:
         rngs = [np.random.default_rng(s) for s in seeds]
     for _ in range(cfg.local_steps):
-        Xb, yb = X, y
         if cfg.batch_size is not None:
             idx = np.stack([rng.choice(n, size=size, replace=False) for rng in rngs])
             Xb = np.take_along_axis(X, idx[..., None], axis=-2)
-            yb = np.take_along_axis(y, idx, axis=-1)
-        g = model.gradient(p, Xb, yb, buffers)
+            labels = _label_index(np.take_along_axis(y, idx, axis=-1))
+        g = model._gradient(layers, Xb, labels, buffers)
         np.multiply(cfg.local_lr, g, out=g)
         p -= g
     return p
@@ -262,4 +278,5 @@ def evaluate_error(model, params: np.ndarray, dataset: LabeledDataset) -> float:
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     pred = np.argmax(model.logits(params, dataset.features), axis=1)
-    return float(100.0 * np.mean(pred != dataset.labels))
+    # np.mean's float64 count over n, as one exact count and one division.
+    return float(100.0 * (np.count_nonzero(pred != dataset.labels) / len(pred)))

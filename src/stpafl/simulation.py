@@ -8,6 +8,7 @@ local training cannot change the aggregate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class BlobsDataConfig:
             raise ValueError("dim must be >= 1")
         if self.samples_per_class < 1 or self.test_samples_per_class < 1:
             raise ValueError("samples_per_class and test_samples_per_class must be >= 1")
-        if not self.spread >= 0:
+        if not 0 <= self.spread < math.inf:
             raise ValueError("spread must be nonnegative")
 
 

@@ -40,7 +40,7 @@ class StpaConfig:
             raise ValueError("s_t must be in (-1, 1)")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
-        if not self.eta0 > 0:
+        if not 0 < self.eta0 < math.inf:
             raise ValueError("eta0 must be positive")
         if self.inner_rule.kind == "stpa":
             raise ValueError("inner rule cannot be stpa itself")
@@ -104,11 +104,14 @@ def build_affinity(global_model: np.ndarray, X: np.ndarray) -> np.ndarray:
                 S[i, j] = S[j, i] = cosine_similarity(deltas[i], deltas[j])
         return S
     G = global_model - X
-    norms = np.linalg.norm(G, axis=1, keepdims=True)
+    # np.linalg.norm(G, axis=1, keepdims=True), np.clip and np.fill_diagonal
+    # as the operations they run on real input.
+    norms = np.sqrt(np.add.reduce(G * G, axis=1, keepdims=True))
     G /= np.where(norms >= ZERO_NORM_EPS, norms, np.inf)
     S = G @ G.T
-    np.clip(S, -1.0, 1.0, out=S)
-    np.fill_diagonal(S, 1.0)
+    np.minimum(S, 1.0, out=S)
+    np.maximum(S, -1.0, out=S)
+    S.reshape(-1)[:: n + 1] = 1.0
     return S
 
 
@@ -147,7 +150,7 @@ def partition_round(S: np.ndarray, s_t: float) -> ClusterPartition:
     below s_t; equal-size ties are treated as inconclusive and keep the union.
     """
     c1, c2 = bipartition(S)
-    cross = float(S[np.ix_(c1, c2)].max())
+    cross = float(S[list(c1)][:, list(c2)].max())
     if cross < s_t and len(c1) != len(c2):
         return ClusterPartition(c1, c2, cross, max(c1, c2, key=len))
     return ClusterPartition(c1, c2, cross, tuple(sorted(c1 + c2)))

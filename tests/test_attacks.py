@@ -99,6 +99,24 @@ def test_alie_population_variance():
     assert mal[0] == pytest.approx(1.5 - np.sqrt(5.0) / 2.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 13])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e160], ids=["unit", "1e150", "1e160"])
+@pytest.mark.parametrize("epsilon", [0.0, 1.5])
+def test_alie_equals_mean_minus_std_bitwise(n, scale, epsilon):
+    # Signed zeros in whole columns, in a column mixing both and in single
+    # entries; at 1e160 the squared deviations overflow, so the std is inf.
+    # tobytes tells -0.0 from 0.0.
+    rng = np.random.default_rng(n)
+    G = rng.standard_normal((n, 40)) * scale
+    G[:, :4] = [0.0, -0.0, 0.0, -0.0]
+    G[:, 2] = -0.0 if n == 1 else np.resize([0.0, -0.0], n)
+    G[rng.random((n, 40)) < 0.2] = -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = G.mean(axis=0) - epsilon * G.std(axis=0)
+        got = attacks.alie_updates(G.copy(), epsilon)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_alie_one_or_no_gradients():
     # one row has sigma 0, so g is that row; no rows give g = 0
     g = np.array([[2.0, -0.0, 1e-300]])

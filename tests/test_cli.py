@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stpafl import cli, data
+from stpafl import cli, data, models
 from stpafl.aggregation import AggregationRule
 from stpafl.attacks import AttackSpec
 from stpafl.models import TrainConfig
@@ -457,6 +457,28 @@ def test_nan_fails_the_range_check_when_the_config_is_built(build, message):
     assert str(info.value) == message
 
 
+INF_CASES = [
+    # (config class, field, message); each field is built with +inf and with -inf.
+    (TrainConfig, "local_lr", "local_lr must be positive"),
+    (StpaConfig, "eta0", "eta0 must be positive"),
+    (AttackSpec, "sigma", "sigma must be nonnegative"),
+    (AttackSpec, "epsilon", "epsilon must be nonnegative"),
+    (AttackSpec, "low", "noise high must be >= low"),
+    (AttackSpec, "high", "noise high must be >= low"),
+    (BlobsDataConfig, "spread", "spread must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["inf", "neg_inf"])
+@pytest.mark.parametrize("cls, name, message", INF_CASES, ids=[f for _, f, _ in INF_CASES])
+def test_inf_fails_the_range_check_when_the_config_is_built(cls, name, message, sign):
+    # Each of these fields reaches the arithmetic of a round or of data
+    # generation, where an infinite value turns into NaN or inf.
+    with pytest.raises(ValueError) as info:
+        cls(**{name: sign * np.inf})
+    assert str(info.value) == message
+
+
 def test_float_field_takes_int_and_optional_field_takes_null():
     obj = base_config(attack={"kind": "byzantine_gaussian", "sigma": 3}, train={"batch_size": None})
     cfg = cli.from_dict(ScenarioConfig, obj, "config")
@@ -555,7 +577,7 @@ def test_run_byte_identical_reruns(tmp_path):
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
 
-def test_run_on_idx_data_byte_identical_reruns(tmp_path):
+def test_run_on_idx_data_byte_identical_reruns(tmp_path, monkeypatch):
     # 3 classes of 2x3 images whose pixels grow with the class, 20 per class to
     # train and 5 to test, in the IDX format of the paper's public datasets.
     rng = np.random.default_rng(11)
@@ -567,9 +589,19 @@ def test_run_on_idx_data_byte_identical_reruns(tmp_path):
             paths[f"{split}_{part}"] = str(tmp_path / f"{split}-{part}.idx")
             Path(paths[f"{split}_{part}"]).write_bytes(raw)
     cfg_path = write_config(tmp_path, base_config(data={"kind": "idx", **paths}, rule={"kind": "stpa"}))
+    # The test error must come from the 15 test rows, not the 60 training rows.
+    evaluated = []
+    evaluate_error = models.evaluate_error
+
+    def recording(model, params, dataset):
+        evaluated.append(len(dataset))
+        return evaluate_error(model, params, dataset)
+
+    monkeypatch.setattr(models, "evaluate_error", recording)
     outs = [tmp_path / "o1", tmp_path / "o2"]
     for out in outs:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert evaluated == [15] * 6
     records = [json.loads(line) for line in (outs[0] / "rounds.jsonl").read_text().splitlines()]
     assert [rec["round"] for rec in records] == [0, 1, 2]
     for name in ("rounds.jsonl", "summary.csv"):

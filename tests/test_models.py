@@ -160,7 +160,7 @@ def reference_gradient(model, params, X, y):
     # Row-major again after the softmax, so the backward pass below runs on
     # the layout it always had, whatever layout Model.gradient uses.
     P = np.empty((logits.shape[-1], y.size))
-    delta = np.ascontiguousarray(models._softmax_residual(sample_major(logits), y, P))
+    delta = np.ascontiguousarray(models._softmax_residual(sample_major(logits), models._label_index(y), P))
     grads = [None] * len(layers)
     for k in reversed(range(len(inputs))):
         h = inputs[k]
@@ -275,6 +275,25 @@ def test_evaluate_error_perfect_and_constant():
     assert models.evaluate_error(model, constant, ds) == 50.0
 
 
+@pytest.mark.parametrize("n", [1, 3, 7, 49, 1000])
+def test_evaluate_error_equals_mean_of_mismatches_bitwise(n):
+    # Small integer logits, so rows hold exact ties, and NaN entries, which
+    # argmax takes as the largest; a stand-in model returns them as they are.
+    rng = np.random.default_rng(n)
+    logits = rng.integers(0, 3, size=(n, 4)).astype(np.float64)
+    logits[rng.random((n, 4)) < 0.1] = np.nan
+    y = rng.integers(0, 4, size=n)
+    want = 100 * np.mean(np.argmax(logits, 1) != y)
+
+    class Fixed:
+        def logits(self, params, X):
+            return logits.copy()
+
+    got = models.evaluate_error(Fixed(), None, LabeledDataset(np.zeros((n, 1)), y, 4))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
 def test_evaluate_error_tie_break_to_class_zero():
     model = Model(2, 3)
     ds = LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0, 1, 2]), 3)
@@ -331,7 +350,7 @@ def test_softmax_residual_equals_row_wise_reference(lead, C):
     got = sample_major(logits)
     with np.errstate(invalid="ignore"):  # inf - inf in the rows made nonfinite above
         want = softmax_residual_reference(logits.copy(), y)
-        assert models._softmax_residual(got, y, np.empty((C, y.size))) is got
+        assert models._softmax_residual(got, models._label_index(y), np.empty((C, y.size))) is got
     assert np.array_equal(got, want, equal_nan=True)
 
 
@@ -342,7 +361,7 @@ def test_softmax_residual_rejects_a_row_major_block(C):
     logits, y = rng.standard_normal((4, 12, C)), rng.integers(0, C, size=(4, 12))
     kept = logits.copy()
     with pytest.raises(ValueError, match="sample-major"):
-        models._softmax_residual(logits, y, np.empty((C, y.size)))
+        models._softmax_residual(logits, models._label_index(y), np.empty((C, y.size)))
     assert np.array_equal(logits, kept)
 
 
@@ -373,6 +392,13 @@ STACK_CASES = [
     ("mlp", 1, 10, None),
     ("mlp", 5, 10, None),
     ("mlp", 5, 10, 3),
+    # Block shapes of the benchmark workloads: ALIE's 13 honest clients of 10
+    # rows, a device block of 66 clients of 20 rows, an MLP block of 3 of 100.
+    ("linear", 13, 10, None),
+    ("linear", 13, 10, 4),
+    ("linear", 66, 20, None),
+    ("mlp", 3, 100, None),
+    ("mlp", 3, 100, 32),
 ]
 
 
@@ -390,7 +416,7 @@ def test_stacked_local_train_equals_per_client_loop(kind, K, N, batch):
     assert out.shape == (K, model.dim)
     for k in range(K):
         ref = per_client_train(model, p0, client_rows(stack, k, 4), cfg, seeds[k])
-        assert np.array_equal(out[k], ref)
+        assert out[k].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])

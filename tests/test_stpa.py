@@ -239,6 +239,44 @@ def test_affinity_of_huge_finite_rows():
     assert np.max(np.abs(S[np.ix_(rest, rest)] - want)) <= 4e-15
 
 
+def wrapped_affinity_reference(w_t, X):
+    """Reference: build_affinity's Gram path as written with np.linalg.norm, np.clip, np.fill_diagonal."""
+    G = w_t - X
+    norms = np.linalg.norm(G, axis=1, keepdims=True)
+    G /= np.where(norms >= stpa.ZERO_NORM_EPS, norms, np.inf)
+    S = G @ G.T
+    np.clip(S, -1.0, 1.0, out=S)
+    np.fill_diagonal(S, 1.0)
+    return S
+
+
+@pytest.mark.parametrize("n", [5, 20, 100])
+def test_affinity_and_cross_similarity_equal_wrapped_reference_bitwise(n):
+    # A zero pseudo-gradient, one whose squared norm overflows, one that
+    # itself overflows to inf (NaN in S), and copies and negated copies of
+    # rows, whose products round past 1 and -1 for the clip to cut back.
+    rng = np.random.default_rng(n)
+    w_t = rng.standard_normal(210)
+    deltas = rng.standard_normal((n, 210))
+    deltas[1] = 0.0
+    deltas[2] *= 1e160
+    half = (n - 3) // 2
+    deltas[3 : 3 + half : 2] = deltas[4 : 4 + half : 2]
+    deltas[3 + half : n - 1] = -deltas[3 : n - 1 - half]
+    X, _ = mk(w_t, list(deltas))
+    w_t[0], X[:, 0], X[n - 1, 0] = 1e308, 1e308, -1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = wrapped_affinity_reference(w_t, X)
+        S = stpa.build_affinity(w_t, X)
+    assert S.tobytes() == want.tobytes()
+    assert np.isnan(S[n - 1]).any() and not np.isnan(S[: n - 1, : n - 1]).any()
+    finite = np.arange(n - 1)
+    S = S[np.ix_(finite, finite)]
+    part = stpa.partition_round(S, 0.02)
+    want = float(S[np.ix_(part.c1, part.c2)].max())
+    assert np.float64(part.cross_similarity).tobytes() == np.float64(want).tobytes()
+
+
 @pytest.mark.parametrize(
     "n, copies, d, attack",
     [(5, 2, 33, "ipm"), (20, 4, 33, "alie"), (20, 6, 6210, "ipm"), (100, 20, 210, "alie"), (100, 30, 210, "ipm")],
