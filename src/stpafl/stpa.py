@@ -10,9 +10,17 @@ momentum speculation v is a plain array that the caller carries between rounds.
 Cosine similarity follows a zero-norm convention: a vector with norm below
 ZERO_NORM_EPS carries no directional information and yields similarity 0, so
 the alpha <= 0 gate discards such rounds instead of propagating NaN. In the
-affinity matrix built from one Gram product, rows whose norm overflows to inf
-get similarity 0 as well; build_affinity's per-pair branch for at most
-PAIRWISE_MAX_SLOTS slots can give them NaN instead.
+affinity matrix built from one Gram product, a pseudo-gradient row whose norm
+is not finite (it overflows to inf, or an entry of w_t - x does) becomes a
+zero row and gets similarity 0 as well; build_affinity's per-pair branch for
+at most PAIRWISE_MAX_SLOTS slots can give such rows NaN instead.
+
+The bipartition first checks, in O(n^2), whether every within-side distance
+of one candidate split is strictly below every cross-side distance. Complete
+linkage is reducible (Muellner, arXiv:1109.2378), so greedy merging must then
+end at exactly that split; the check reads the same rounded 1 - s the merges
+do, so it is exact. The O(n^3) merge loop runs only when the check fails.
+IPM rosters pass it; ALIE rosters, whose row sits among the honest ones, do not.
 """
 
 from __future__ import annotations
@@ -88,9 +96,9 @@ def build_affinity(global_model: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities of the pseudo-gradients w_t - x of X's rows; diagonal 1.
 
     Rows are scaled to unit norm before the product, so finite rows of any size
-    give finite values. Rows with norm below ZERO_NORM_EPS or overflowing to inf
-    become zero rows: similarity 0 to every other row. cosine_similarity also gives 0
-    for the small norms, but can give NaN for overflowing ones.
+    give finite values. Rows with norm below ZERO_NORM_EPS or not finite become
+    zero rows: similarity 0 to every other row. cosine_similarity also gives 0
+    for the small norms, but can give NaN for non-finite ones.
     numpy computes G @ G.T as one symmetric product, so S is exactly symmetric.
     """
     n = len(X)
@@ -107,6 +115,8 @@ def build_affinity(global_model: np.ndarray, X: np.ndarray) -> np.ndarray:
     # np.linalg.norm(G, axis=1, keepdims=True), np.clip and np.fill_diagonal
     # as the operations they run on real input.
     norms = np.sqrt(np.add.reduce(G * G, axis=1, keepdims=True))
+    if not norms.max() < np.inf:  # one max costs less than the masked write
+        G[~np.isfinite(norms[:, 0])] = 0.0
     G /= np.where(norms >= ZERO_NORM_EPS, norms, np.inf)
     S = G @ G.T
     np.minimum(S, 1.0, out=S)
@@ -115,21 +125,67 @@ def build_affinity(global_model: np.ndarray, X: np.ndarray) -> np.ndarray:
     return S
 
 
+def _certified_split(S: np.ndarray) -> tuple[tuple, tuple] | None:
+    """The complete-linkage bipartition of S when one O(n^2) check proves it, else None.
+
+    Slots a, b are the farthest pair (the smallest s); every slot joins the side
+    of whichever of them it is more similar to. fl(1 - s) never increases as s
+    grows, so 1 - (smallest within-side s) and 1 - (largest cross-side s) are
+    exactly the largest within-side and smallest cross-side distances in the
+    merge loop's D. The diagonal, counted as within-side, can only make the
+    check fail. A NaN anywhere in S is where argmin lands, so it fails the
+    first comparison.
+    """
+    n = S.shape[0]
+    a, b = divmod(int(S.argmin()), n)
+    sa, sb = S[a], S[b]
+    own = np.maximum(sa, sb)
+    # Two O(n) necessary checks first. Rows a and b: every within-side entry
+    # exceeds every cross-side one. It is strict at slots a and b, so each
+    # keeps its own side and neither side is empty.
+    if not own.min() > np.minimum(sa, sb).max():
+        return None
+    on_b = sb > sa
+    # The same in the row of the slot least similar to its own side's anchor.
+    # Some ALIE rosters pass rows a and b; each one seen fails here, which is
+    # cheaper than the O(n^2) check.
+    c = int(own.argmin())
+    same = on_b == on_b[c]
+    if not np.where(same, S[c], np.inf).min() > np.where(same, -np.inf, S[c]).max():
+        return None
+    A, B = np.flatnonzero(~on_b), np.flatnonzero(on_b)
+    SA, SB = S[A], S[B]
+    if not 1.0 - min(SA[:, A].min(), SB[:, B].min()) < 1.0 - SA[:, B].max():
+        return None
+    c1, c2 = tuple(A.tolist()), tuple(B.tolist())
+    return (c1, c2) if c1[0] == 0 else (c2, c1)
+
+
 def bipartition(S: np.ndarray) -> tuple[tuple, tuple]:
     """Complete-linkage agglomeration on distance 1 - s, stopped at 2 clusters.
 
     S must be symmetric. Merge ties break lexicographically on (min slot of
     first, min slot of second) with the pair ordered by min slot. Returned
     clusters are sorted slot tuples, ordered by their smallest slot.
+    Before merging, each slot is put with the nearer end of the farthest pair.
+    If every within-side distance of that split is strictly below every
+    cross-side one, each merge would join two clusters of one side, so the
+    merges end at that split, and it is returned without merging. The check
+    compares the same rounded 1 - s the merges do, so it never returns a split
+    that the merges would not reach.
     """
     n = S.shape[0]
     if n < 2:
         raise ValueError("need at least 2 slots to bipartition")
+    S = np.asarray(S, dtype=np.float64)
+    certified = _certified_split(S)
+    if certified is not None:
+        return certified
     # Each cluster lives at the row of its smallest slot; retired rows are inf.
     # D stays symmetric, so the first row-major minimum is the smallest
     # (d, min slot a, min slot b) key, with a < b.
-    D = 1.0 - np.asarray(S, dtype=np.float64)
-    np.fill_diagonal(D, np.inf)
+    D = 1.0 - S
+    D.reshape(-1)[:: n + 1] = np.inf
     members = {i: [i] for i in range(n)}
     # Bound once, so a merge pays neither np.argmin's wrapper nor D's indexing.
     argmin, rows, cols = D.argmin, list(D), list(D.T)

@@ -2,10 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stpafl import stpa
+from stpafl import attacks, stpa
 from stpafl.aggregation import AggregationRule
 from stpafl.stpa import StpaConfig, cosine_similarity
 
@@ -94,6 +94,16 @@ def bipartition_reference(S):
         D[a, a] = np.inf
         clusters = [merged if i == a else clusters[i] for i in keep]
     return clusters[0], clusters[1]
+
+
+def shared_direction_roster(attack, n, copies, seed):
+    """w_t and n submissions whose honest pseudo-gradients share one direction, as
+    gradients of one task do; the first copies slots send the attack's one row."""
+    rng = np.random.default_rng(seed)
+    w_t = rng.standard_normal(210)
+    G = rng.standard_normal(210) + rng.standard_normal((n - copies, 210))
+    g = attacks.ipm_updates(G, 1.0) if attack == "ipm" else attacks.alie_updates(G, 1.5)
+    return w_t, w_t - np.vstack([np.tile(g, (copies, 1)), G])
 
 
 def random_affinity(rng, n, levels=None):
@@ -239,10 +249,34 @@ def test_affinity_of_huge_finite_rows():
     assert np.max(np.abs(S[np.ix_(rest, rest)] - want)) <= 4e-15
 
 
+def test_affinity_of_non_finite_pseudo_gradient_rows():
+    # w_t - x overflows to inf in an entry although w_t and x are finite. Such
+    # a row becomes a zero row, as a zero pseudo-gradient does, and S is finite.
+    rng = np.random.default_rng(6)
+    w_t = rng.standard_normal(210)
+    X = rng.standard_normal((6, 210))
+    w_t[0], X[:, 0], X[2, 0] = 1e308, 1e308, -1e308
+    with np.errstate(over="ignore"):
+        S = stpa.build_affinity(w_t, X)
+    zero = X.copy()
+    zero[2] = w_t
+    assert S.tobytes() == stpa.build_affinity(w_t, zero).tobytes()
+    assert np.count_nonzero(S[2]) == 1 and S[2, 2] == 1.0
+    # Here every pseudo-gradient's norm overflows: all rows are zero rows.
+    X[:, 0] = 0.0
+    X[2, 0] = -1e308
+    with np.errstate(over="ignore"):
+        S = stpa.build_affinity(w_t, X)
+    assert np.array_equal(S, np.eye(6))
+    c1, c2 = stpa.bipartition(S)
+    assert sorted(c1 + c2) == list(range(6))
+
+
 def wrapped_affinity_reference(w_t, X):
     """Reference: build_affinity's Gram path as written with np.linalg.norm, np.clip, np.fill_diagonal."""
     G = w_t - X
     norms = np.linalg.norm(G, axis=1, keepdims=True)
+    G[~np.isfinite(norms[:, 0])] = 0.0
     G /= np.where(norms >= stpa.ZERO_NORM_EPS, norms, np.inf)
     S = G @ G.T
     np.clip(S, -1.0, 1.0, out=S)
@@ -253,8 +287,8 @@ def wrapped_affinity_reference(w_t, X):
 @pytest.mark.parametrize("n", [5, 20, 100])
 def test_affinity_and_cross_similarity_equal_wrapped_reference_bitwise(n):
     # A zero pseudo-gradient, one whose squared norm overflows, one that
-    # itself overflows to inf (NaN in S), and copies and negated copies of
-    # rows, whose products round past 1 and -1 for the clip to cut back.
+    # itself overflows to inf (a zero row in S), and copies and negated copies
+    # of rows, whose products round past 1 and -1 for the clip to cut back.
     rng = np.random.default_rng(n)
     w_t = rng.standard_normal(210)
     deltas = rng.standard_normal((n, 210))
@@ -269,9 +303,7 @@ def test_affinity_and_cross_similarity_equal_wrapped_reference_bitwise(n):
         want = wrapped_affinity_reference(w_t, X)
         S = stpa.build_affinity(w_t, X)
     assert S.tobytes() == want.tobytes()
-    assert np.isnan(S[n - 1]).any() and not np.isnan(S[: n - 1, : n - 1]).any()
-    finite = np.arange(n - 1)
-    S = S[np.ix_(finite, finite)]
+    assert np.isfinite(S).all() and np.count_nonzero(S[n - 1]) == 1
     part = stpa.partition_round(S, 0.02)
     want = float(S[np.ix_(part.c1, part.c2)].max())
     assert np.float64(part.cross_similarity).tobytes() == np.float64(want).tobytes()
@@ -365,14 +397,90 @@ def test_bipartition_matches_reference(levels):
 
 @pytest.mark.parametrize("n,copies", [(100, 34), (200, 0)], ids=["ipm_roster", "n200"])
 def test_bipartition_matches_reference_on_submitted_rows(n, copies):
-    # The device workload's roster: the malicious clients submit one shared
-    # IPM row, so the affinity holds a block of equal near-zero distances,
-    # every pair in it a tie.
+    # The malicious clients submit one shared row, so the affinity holds a
+    # block of equal near-zero distances, every pair in it a tie. The other
+    # rows share no direction, unlike honest gradients, so no split is
+    # certified and the merge loop runs.
     rng = np.random.default_rng(n + copies)
     X = rng.standard_normal((n, 210))
     X[:copies] = X[0]
     S = stpa.build_affinity(np.zeros(210), X)
+    assert stpa._certified_split(S) is None
     assert stpa.bipartition(S) == bipartition_reference(S)
+
+
+@pytest.mark.parametrize(
+    "attack, n, copies, certified",
+    [("ipm", 100, 34, True), ("ipm", 200, 68, True), ("alie", 20, 7, False), ("alie", 100, 34, False)],
+)
+def test_certified_split_fires_on_ipm_rosters_only(attack, n, copies, certified):
+    # IPM's row points against the honest direction, so the roster splits
+    # with a gap and the merge loop is skipped; ALIE's sits among the honest
+    # rows, so the check declines it and the loop runs.
+    w_t, X = shared_direction_roster(attack, n, copies, seed=n)
+    S = stpa.build_affinity(w_t, X)
+    want = bipartition_reference(S)
+    split = stpa._certified_split(S)
+    assert (split == want) if certified else split is None
+    if certified:
+        assert want == (tuple(range(copies)), tuple(range(copies, n)))
+    assert stpa.bipartition(S) == want
+
+
+@st.composite
+def planted_two_blocks(draw):
+    """(S, certified): two planted sides whose smallest within-side and largest
+    cross-side similarities are lo and hi, with the gap the case names, and
+    whether _certified_split must accept S (True), decline it (False), or may
+    do either (None)."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    case = draw(st.sampled_from(["gap", "zero_gap", "rounding_tie", "duplicates", "all_ones"]))
+    if case == "all_ones":
+        return np.ones((n, n)), False
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if case == "rounding_tie":
+        lo, hi = 1e-17, 0.0
+    else:
+        hi = draw(st.floats(-1.0, 0.9))
+        lo = hi if case == "zero_gap" else draw(st.floats(hi, 1.0).filter(lambda x: 1.0 - x < 1.0 - hi))
+    side = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    same = side[:, None] == side
+    S = np.triu(np.where(same, rng.uniform(lo, 1.0, (n, n)), rng.uniform(-1.0, hi, (n, n))), 1)
+    within, cross = np.argwhere(np.triu(same, 1)), np.argwhere(~same)
+    if len(within):
+        S[tuple(within[rng.integers(len(within))])] = lo
+    if len(cross):
+        i, j = sorted(cross[rng.integers(len(cross))])
+        S[i, j] = hi
+    S = S + S.T
+    np.fill_diagonal(S, 1.0)
+    if case == "duplicates":
+        for src, dst in rng.integers(n, size=(rng.integers(1, n + 1), 2)):
+            if src != dst:
+                S[dst], S[:, dst] = S[src], S[src]
+                S[dst, dst] = S[src, dst] = S[dst, src] = 1.0
+    if not 0 < side.sum() < n or case == "duplicates":
+        return S, None
+    # A positive gap: every slot is more similar to its side's end of the
+    # farthest pair, which is a cross-side pair. Otherwise a within-side pair
+    # at lo and a cross-side pair at hi have equal distances (1 - 1e-17 rounds
+    # to 1 - 0.0): the planted split ties on them, and any other split cuts a
+    # pair at >= lo while keeping one at <= hi.
+    return S, case == "gap" or (None if n == 2 else False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_two_blocks())
+@example((np.ones((2, 2)), False))
+def test_bipartition_equals_reference_on_planted_blocks(planted):
+    S, certified = planted
+    want = bipartition_reference(S)
+    assert stpa.bipartition(S) == want
+    split = stpa._certified_split(S)
+    if certified is None:
+        assert split in (None, want)
+    else:
+        assert split == (want if certified else None)
 
 
 @settings(max_examples=60, deadline=None)
