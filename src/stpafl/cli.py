@@ -44,8 +44,8 @@ def from_dict(cls, obj: dict, where: str):
     The dataclass's fields are the schema. A field annotated with a config
     dataclass recurses; a union of them picks the member whose `kind` default
     matches obj["kind"]. Leaf values must match the annotation: a float field
-    takes an int and must be finite, and bool passes for neither. Range checks
-    are the dataclasses' own __post_init__.
+    takes an int and must be finite, as a float, and bool passes for neither.
+    Range checks are the dataclasses' own __post_init__.
     """
     types = {f.name: f.type for f in fields(cls)}
     unknown = obj.keys() - types.keys()
@@ -75,6 +75,11 @@ def from_dict(cls, obj: dict, where: str):
                 raise ConfigError(f"{path} must be {types[key]}, got {type(value).__name__}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{path} must be finite, got {value}")
+            if isinstance(value, int) and float in members:
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ConfigError(f"{path} must be finite, got an int too large for a float") from None
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -88,7 +93,7 @@ def load_config(path, seed_flag: int | None) -> ScenarioConfig:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, an int past the digit limit, or not UTF-8
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")

@@ -71,7 +71,11 @@ class ClientStack:
 
 @dataclass
 class ClientPool:
-    """Every client's dataset, one ClientStack per distinct size."""
+    """Every client's dataset, one ClientStack per distinct size.
+
+    Each stack holds consecutive client ids: partition_iid deals the larger
+    size to the lowest ids, and shards give every client one size.
+    """
 
     stacks: list  # ClientStack, by ascending size
     counts: np.ndarray  # (n_clients,) int64 samples per client, indexed by client id
@@ -84,6 +88,8 @@ class ClientPool:
         # sorted(set()) rather than np.unique, whose first call imports numpy.ma.
         for n in sorted(set(counts.tolist())):
             ids = np.flatnonzero(counts == n)
+            if ids[-1] - ids[0] + 1 != len(ids):
+                raise ValueError(f"the clients of size {n} do not have consecutive ids")
             rows = np.stack([assignments[cid] for cid in ids])
             stacks.append(ClientStack(ids, dataset.features[rows], dataset.labels[rows]))
         return cls(stacks, counts)

@@ -9,6 +9,7 @@ as plain vectors.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,7 +231,9 @@ def make_model(cfg: ModelConfig, n_features: int, n_classes: int) -> Model:
 # allocator churn. With local_train's buffers reused across steps, three to a
 # block cut the Krum workload's perfbench round_ms_p90 by about 11%.
 # Thirteen to a block trained slower than three (20.1 vs 16.0 ms a round,
-# interleaved), likely because its buffers outgrow the 2 MB per-core L2.
+# interleaved), likely because its buffers outgrow the 2 MB per-core L2. That
+# holds with local_train's helper thread too: two blocks train at once, one
+# per core, so each block still has one core's L2 to itself.
 BLOCK_ELEMENTS = 65_536
 
 
@@ -240,23 +243,64 @@ def block_clients(model, n_rows: int) -> int:
 
 
 def local_train(
-    model, params: np.ndarray, stack: ClientStack, cfg: TrainConfig, seeds=None
+    model, params: np.ndarray, stack: ClientStack, cfg: TrainConfig, seeds=None, out=None
 ) -> np.ndarray:
     """Run cfg.local_steps gradient-descent steps at rate cfg.local_lr.
 
-    Each of the K clients of stack starts from params; returns (K, dim).
-    seeds, one per client, draw the minibatches and are read only for them.
+    Each of the K clients of stack starts from params; returns (K, dim), in
+    out when given. seeds, one per client, draw the minibatches and are read
+    only for them.
+
+    The clients train in blocks of block_clients. With two or more blocks,
+    one helper thread and this one each take the next untrained block until
+    none is left. A block writes only its own rows of the result, and a
+    client's model depends neither on its block nor on the thread, so the
+    result is the same bits either way. An error in either thread is raised
+    here once the helper is joined.
     """
     if len(stack) == 0:
         raise ValueError("empty dataset")
-    X, y = stack.features, stack.labels
-    K, n = y.shape
-    p = np.empty((K,) + params.shape)
+    K, n = stack.labels.shape
+    p = np.empty((K,) + params.shape) if out is None else out
     p[...] = params
+    step = block_clients(model, n)
+    starts = iter(range(0, K, step))  # both threads draw from it; next runs under the GIL
+
+    def train():
+        for a in starts:
+            block = slice(a, a + step)
+            _descend(model, p[block], stack.take(block), cfg, None if seeds is None else seeds[block])
+
+    if K <= step:
+        train()
+        return p
+    errors = []
+
+    def helper():
+        try:
+            train()
+        except BaseException as exc:  # re-raised below, once the helper is joined
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        train()
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return p
+
+
+def _descend(model, p: np.ndarray, block: ClientStack, cfg: TrainConfig, seeds) -> None:
+    """local_train's steps for one block: p, (k, dim), descends in place."""
+    X, y = block.features, block.labels
+    k, n = y.shape
     size = n if cfg.batch_size is None else min(cfg.batch_size, n)
     # One set of block-sized buffers, p's views and, on full batches, the
-    # label index serve every step of this call.
-    buffers = model.buffers((K, size))
+    # label index serve every step of this block.
+    buffers = model.buffers((k, size))
     layers = model.unpack(p)
     if cfg.batch_size is None:
         Xb, labels = X, _label_index(y)
@@ -270,7 +314,6 @@ def local_train(
         g = model._gradient(layers, Xb, labels, buffers)
         np.multiply(cfg.local_lr, g, out=g)
         p -= g
-    return p
 
 
 def evaluate_error(model, params: np.ndarray, dataset: LabeledDataset) -> float:

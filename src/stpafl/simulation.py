@@ -2,8 +2,9 @@
 
 Clients [0, n_malicious) are malicious. Data-level attacks corrupt those
 clients' datasets once at setup; model-level attacks fire every round.
-Updates are always processed in ascending client-id order so that parallel
-local training cannot change the aggregate.
+Updates are always processed in ascending client-id order, and each training
+block writes only its own clients' rows, so local training on two threads
+(models.local_train) cannot change the aggregate.
 """
 
 from __future__ import annotations
@@ -213,21 +214,23 @@ def setup_client_datasets(cfg: ScenarioConfig, train: data.LabeledDataset) -> da
 def train_clients(model, w_t, pool: data.ClientPool, ids, cfg: ScenarioConfig, r: int, out):
     """Write the local models of the clients ids (ascending) into the rows of out.
 
-    Each size group trains in blocks of models.block_clients clients.
+    Each size group trains in one models.local_train call. A stack holds
+    consecutive client ids (ClientPool), so its clients' rows of out are one
+    slice, which local_train writes into.
     """
     ids = np.asarray(ids, dtype=np.int64)
     for stack in pool.stacks:
-        # An id this stack lacks lands on another id's row, or past the end.
-        rows = np.searchsorted(stack.ids, ids)
-        pos = np.flatnonzero(stack.ids.take(rows, mode="clip") == ids)
-        rows = rows[pos]
-        step = models.block_clients(model, stack.labels.shape[1])
-        for a in range(0, len(rows), step):
-            block = stack.take(rows[a : a + step])
-            seeds = None
-            if cfg.train.batch_size is not None:
-                seeds = [derive_seed(cfg.seed, 4, r, int(cid)) for cid in block.ids]
-            out[pos[a : a + step]] = models.local_train(model, w_t, block, cfg.train, seeds)
+        lo, hi = np.searchsorted(ids, (stack.ids[0], stack.ids[-1] + 1))
+        if lo == hi:
+            continue
+        rows = ids[lo:hi] - stack.ids[0]
+        if rows[-1] - rows[0] + 1 == len(rows):  # a run of rows: a view, no copy
+            rows = slice(rows[0], rows[-1] + 1)
+        group = stack.take(rows)
+        seeds = None
+        if cfg.train.batch_size is not None:
+            seeds = [derive_seed(cfg.seed, 4, r, int(cid)) for cid in group.ids]
+        models.local_train(model, w_t, group, cfg.train, seeds, out=out[lo:hi])
 
 
 def run_round(

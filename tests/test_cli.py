@@ -78,6 +78,25 @@ def test_run_invalid_json_exits_2(tmp_path):
     assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # json raises a plain ValueError, not JSONDecodeError, for an int of
+        # more digits than sys.get_int_max_str_digits() (4300 by default).
+        json.dumps(base_config(seed=0)).replace('"seed": 0', '"seed": ' + "1" * 5000).encode(),
+        b"\xff\xfe{",  # not UTF-8: UnicodeDecodeError, also a ValueError
+    ],
+    ids=["int_past_digit_limit", "not_utf8"],
+)
+def test_undecodable_config_exits_2_before_output(tmp_path, capsys, raw):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(raw)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_unknown_key_rejected(tmp_path):
     cfg_path = write_config(tmp_path, base_config(bogus=1))
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
@@ -132,6 +151,28 @@ def test_run_unknown_key_rejected(tmp_path):
             {"attack": {"kind": "byzantine_gaussian", "sigma": float("inf")}},
             "config.attack.sigma must be finite, got inf",
             id="sigma_inf",
+        ),
+        # A JSON int too large for a float passes every range check, then
+        # failed at run time; under ALIE, which ignores sigma, it even ran.
+        pytest.param(
+            {"train": {"local_lr": 10**400}},
+            "config.train.local_lr must be finite, got an int too large for a float",
+            id="lr_huge_int",
+        ),
+        pytest.param(
+            {"stpa": {"eta0": 10**400}},
+            "config.stpa.eta0 must be finite, got an int too large for a float",
+            id="eta0_huge_int",
+        ),
+        pytest.param(
+            {"data": {"kind": "blobs", "spread": 10**400}},
+            "config.data.spread must be finite, got an int too large for a float",
+            id="spread_huge_int",
+        ),
+        pytest.param(
+            {"attack": {"kind": "alie", "sigma": 10**400}},
+            "config.attack.sigma must be finite, got an int too large for a float",
+            id="alie_sigma_huge_int",
         ),
         # 4 clients x 2 shards x 300 rows > 3 classes x 30 rows of blobs.
         pytest.param(

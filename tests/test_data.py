@@ -148,6 +148,15 @@ def test_partition_iid_pigeonhole():
     assert sizes == [10] * 9 + [11]
 
 
+def test_client_pool_stacks_hold_consecutive_ids():
+    # train_clients writes each stack's clients into one slice of its rows.
+    ds = LabeledDataset(np.zeros((103, 1)), np.zeros(103, dtype=int), 1)
+    pool = data.ClientPool.from_partition(ds, data.partition_iid(ds, 10, 0))
+    assert [s.ids.tolist() for s in pool.stacks] == [list(range(3, 10)), [0, 1, 2]]
+    with pytest.raises(ValueError, match="^the clients of size 1 do not have consecutive ids$"):
+        data.ClientPool.from_partition(ds, [np.arange(1), np.arange(2), np.arange(1)])
+
+
 def test_partition_iid_deterministic():
     ds = LabeledDataset(np.zeros((50, 1)), np.zeros(50, dtype=int), 1)
     a = data.partition_iid(ds, 7, 5)

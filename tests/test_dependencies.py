@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +26,14 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             stray += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in ALLOWED]
     assert stray == []
+
+
+def test_cli_import_loads_no_executor_or_logging():
+    # A run's setup time counts every import. concurrent.futures brings
+    # logging with it, about 9 ms; the training helper thread needs only
+    # threading, which numpy imports anyway.
+    src = str(Path(stpafl.__file__).parent.parent)
+    code = "import sys, stpafl.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

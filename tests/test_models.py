@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -419,11 +423,12 @@ def test_stacked_local_train_equals_per_client_loop(kind, K, N, batch):
         assert out[k].tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
-@pytest.mark.parametrize("batch", [None, 3])
-def test_train_clients_blocks_and_two_sizes_equal_per_client_loop(kind, batch, monkeypatch):
-    # 130 rows over 12 clients: sizes 10 and 11; a small budget splits each
-    # size group into several blocks with a ragged last one.
+def two_size_round(kind, batch, monkeypatch):
+    """A round of 8 of 12 clients in sizes 10 and 11, two clients to a block.
+
+    130 rows over 12 clients give sizes 10 and 11; a small budget splits each
+    size group into several blocks with a ragged last one.
+    """
     cfg = ScenarioConfig(
         scenario="cross_device", n_clients=12, n_malicious=0, clients_per_round=8,
         rounds=1, seed=2, model=ModelConfig(kind, hidden=7),
@@ -437,16 +442,91 @@ def test_train_clients_blocks_and_two_sizes_equal_per_client_loop(kind, batch, m
     monkeypatch.setattr(models, "BLOCK_ELEMENTS", 2 * 11 * model.width)
     assert models.block_clients(model, 10) == 2 and models.block_clients(model, 11) == 2
     w = model.init_params(np.random.default_rng(0))
-    ids = [0, 2, 3, 5, 6, 7, 8, 11]
+    return cfg, pool, model, w, [0, 2, 3, 5, 6, 7, 8, 11]
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_train_clients_blocks_and_two_sizes_equal_per_client_loop(kind, batch, monkeypatch):
+    cfg, pool, model, w, ids = two_size_round(kind, batch, monkeypatch)
+    helpers = []
+
+    class SpyThread(threading.Thread):
+        def start(self):
+            helpers.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", SpyThread)
     out = np.empty((len(ids), model.dim))
-    simulation.train_clients(model, w, pool, ids, cfg, 4, out=out)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+    try:
+        simulation.train_clients(model, w, pool, ids, cfg, 4, out=out)
+    finally:
+        sys.setswitchinterval(interval)
+    # One helper per size group of two or more blocks, joined before the return.
+    assert len(helpers) == sum(np.isin(s.ids, ids).sum() > 2 for s in pool.stacks) >= 1
+    assert not any(h.is_alive() for h in helpers)
     rows = {int(c): (s, k) for s in pool.stacks for k, c in enumerate(s.ids)}
     for i, cid in enumerate(ids):
         stack, k = rows[cid]
         ref = per_client_train(
             model, w, client_rows(stack, k, 5), cfg.train, derive_seed(cfg.seed, 4, 4, cid)
         )
-        assert np.array_equal(out[i], ref)
+        assert out[i].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("where", ["helper", "main"])
+def test_train_clients_raises_a_block_error_after_joining_the_helper(where, monkeypatch):
+    cfg, pool, model, w, ids = two_size_round("mlp", None, monkeypatch)
+    ids = [cid for cid in ids if cid in pool.stacks[1].ids]  # one group of four blocks
+    assert len(ids) == 7
+    gradient = model._gradient
+    barrier = threading.Barrier(2, timeout=10)
+    entered = set()
+
+    def failing(*args):
+        if threading.get_ident() not in entered:
+            entered.add(threading.get_ident())
+            barrier.wait()  # each thread holds a block
+            if (threading.current_thread() is threading.main_thread()) == (where == "main"):
+                raise ArithmeticError(f"block failed on the {where} thread")
+            # Keep the helper busy past the main thread's error, so an error
+            # raised before the join would leave it running.
+            time.sleep(0.05)
+        return gradient(*args)
+
+    monkeypatch.setattr(model, "_gradient", failing)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"^block failed on the {where} thread$"):
+        simulation.train_clients(model, w, pool, ids, cfg, 4, out=np.empty((len(ids), model.dim)))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "n_clients,samples_per_class,n_trained",
+    # ALIE's 13 honest clients of 10 rows; a device round's 66 of 20 rows.
+    [(20, 20, 13), (300, 600, 66)],
+    ids=["alie", "device"],
+)
+def test_single_block_rounds_start_no_thread(n_clients, samples_per_class, n_trained, monkeypatch):
+    cfg = ScenarioConfig(
+        scenario="cross_silo", n_clients=n_clients, n_malicious=0, clients_per_round=n_clients,
+        rounds=1, seed=0, data=BlobsDataConfig(samples_per_class=samples_per_class),
+    )
+    train, _ = simulation.build_data(cfg)
+    pool = simulation.setup_client_datasets(cfg, train)
+    model = models.make_model(cfg.model, train.n_features, train.n_classes)
+    assert len(pool.stacks) == 1
+    assert models.block_clients(model, pool.stacks[0].labels.shape[1]) >= n_trained
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a single-block round started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    ids = list(range(n_clients - n_trained, n_clients))
+    w = model.init_params(np.random.default_rng(1))
+    simulation.train_clients(model, w, pool, ids, cfg, 0, out=np.empty((n_trained, model.dim)))
 
 
 def corrupted(spec, dataset, seed):
