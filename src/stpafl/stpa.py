@@ -15,12 +15,13 @@ is not finite (it overflows to inf, or an entry of w_t - x does) becomes a
 zero row and gets similarity 0 as well; build_affinity's per-pair branch for
 at most PAIRWISE_MAX_SLOTS slots can give such rows NaN instead.
 
-The bipartition first checks, in O(n^2), whether every within-side distance
-of one candidate split is strictly below every cross-side distance. Complete
-linkage is reducible (Muellner, arXiv:1109.2378), so greedy merging must then
-end at exactly that split; the check reads the same rounded 1 - s the merges
-do, so it is exact. The O(n^3) merge loop runs only when the check fails.
-IPM rosters pass it; ALIE rosters, whose row sits among the honest ones, do not.
+The bipartition first checks, with one O(n) and one O(n^2) test, whether
+every within-side distance of one candidate split is strictly below every
+cross-side distance. Complete linkage is reducible (Muellner,
+arXiv:1109.2378), so greedy merging must then end at exactly that split; the
+check reads the same rounded 1 - s the merges do, so it is exact. The O(n^3)
+merge loop runs only when the check fails. IPM rosters pass it; ALIE rosters,
+whose row sits among the honest ones, do not.
 """
 
 from __future__ import annotations
@@ -126,38 +127,29 @@ def build_affinity(global_model: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _certified_split(S: np.ndarray) -> tuple[tuple, tuple] | None:
-    """The complete-linkage bipartition of S when one O(n^2) check proves it, else None.
+    """The complete-linkage bipartition of S when two tests prove it, else None.
 
     Slots a, b are the farthest pair (the smallest s); every slot joins the side
-    of whichever of them it is more similar to. fl(1 - s) never increases as s
-    grows, so 1 - (smallest within-side s) and 1 - (largest cross-side s) are
-    exactly the largest within-side and smallest cross-side distances in the
-    merge loop's D. The diagonal, counted as within-side, can only make the
-    check fail. A NaN anywhere in S is where argmin lands, so it fails the
-    first comparison.
+    of whichever of them it is more similar to. Both tests ask that every
+    within-side s exceed every cross-side s: the O(n) one in rows a and b,
+    strict at a and b, so neither side is empty; the O(n^2) one in all of S,
+    through one mask of same-side pairs. fl(1 - s) never increases as s grows,
+    so the second compares exactly the largest within-side and smallest
+    cross-side distances of the merge loop's D; the diagonal, counted as
+    within-side, can only make it fail. S is exactly symmetric, so on a
+    certified split the masked cross-side maximum is partition_round's
+    cross_similarity. A NaN in S is where argmin lands; it fails the first test.
     """
     n = S.shape[0]
     a, b = divmod(int(S.argmin()), n)
     sa, sb = S[a], S[b]
-    own = np.maximum(sa, sb)
-    # Two O(n) necessary checks first. Rows a and b: every within-side entry
-    # exceeds every cross-side one. It is strict at slots a and b, so each
-    # keeps its own side and neither side is empty.
-    if not own.min() > np.minimum(sa, sb).max():
+    if not np.maximum(sa, sb).min() > np.minimum(sa, sb).max():
         return None
     on_b = sb > sa
-    # The same in the row of the slot least similar to its own side's anchor.
-    # Some ALIE rosters pass rows a and b; each one seen fails here, which is
-    # cheaper than the O(n^2) check.
-    c = int(own.argmin())
-    same = on_b == on_b[c]
-    if not np.where(same, S[c], np.inf).min() > np.where(same, -np.inf, S[c]).max():
+    same = on_b[:, None] == on_b
+    if not 1.0 - np.where(same, S, np.inf).min() < 1.0 - np.where(same, -np.inf, S).max():
         return None
-    A, B = np.flatnonzero(~on_b), np.flatnonzero(on_b)
-    SA, SB = S[A], S[B]
-    if not 1.0 - min(SA[:, A].min(), SB[:, B].min()) < 1.0 - SA[:, B].max():
-        return None
-    c1, c2 = tuple(A.tolist()), tuple(B.tolist())
+    c1, c2 = tuple(np.flatnonzero(~on_b).tolist()), tuple(np.flatnonzero(on_b).tolist())
     return (c1, c2) if c1[0] == 0 else (c2, c1)
 
 

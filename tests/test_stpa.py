@@ -427,6 +427,20 @@ def test_certified_split_fires_on_ipm_rosters_only(attack, n, copies, certified)
     assert stpa.bipartition(S) == want
 
 
+@pytest.mark.parametrize("seed", [31, 67])
+def test_certified_split_declines_alie_rosters_that_pass_rows_a_and_b(seed):
+    # In rows a and b of the farthest pair, every within-side entry exceeds
+    # every cross-side one, but elsewhere in S some cross-side pair is no
+    # farther apart than some within-side pair, so only the O(n^2) test
+    # declines the split.
+    w_t, X = shared_direction_roster("alie", 20, 7, seed)
+    S = stpa.build_affinity(w_t, X)
+    a, b = divmod(int(S.argmin()), len(S))
+    assert np.maximum(S[a], S[b]).min() > np.minimum(S[a], S[b]).max()
+    assert stpa._certified_split(S) is None
+    assert stpa.bipartition(S) == bipartition_reference(S)
+
+
 @st.composite
 def planted_two_blocks(draw):
     """(S, certified): two planted sides whose smallest within-side and largest
