@@ -172,7 +172,11 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         raise IdxFormatError(
             f"{images_path} has {n_images} images but {labels_path} has {n_labels} labels"
         )
-    features = pixels.astype(np.float64) * (2.0 / 255.0) - 1.0
+    # In place: the two roundings of pixels * (2 / 255) - 1, and one float64
+    # copy even below 256 KiB, where numpy stops eliding the temporary.
+    features = pixels.astype(np.float64)
+    features *= 2.0 / 255.0
+    features -= 1.0
     n_classes = int(labels.max()) + 1 if n_labels else 1
     return LabeledDataset(features, labels, n_classes)
 

@@ -281,6 +281,7 @@ def iter_experiment(cfg: ScenarioConfig):
     check_data(cfg, train, test)
     pool = setup_client_datasets(cfg, train)
     model = models.make_model(cfg.model, train.n_features, train.n_classes)
+    del train  # the pool holds its own copy, and no round reads the training set
     init_rng = np.random.default_rng(derive_seed(cfg.seed, 0))
     state = ExperimentState(
         global_model=model.init_params(init_rng),

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -104,6 +106,24 @@ def test_selection_hypergeometric_mean():
 
 def test_rounds_zero_gives_empty_log():
     assert run_experiment(small_cfg(rounds=0)) == []
+
+
+def test_rounds_hold_no_reference_to_the_training_set(monkeypatch):
+    # The pool stacks its own copy of the training rows at setup, so once
+    # round 0 has run nothing may keep the loaded training set alive.
+    build = simulation.build_data
+    refs = []
+
+    def build_data(cfg):
+        train, test = build(cfg)
+        refs.append(weakref.ref(train))
+        return train, test
+
+    monkeypatch.setattr(simulation, "build_data", build_data)
+    rounds = simulation.iter_experiment(small_cfg())
+    next(rounds)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
 
 
 def test_experiment_deterministic():
