@@ -176,7 +176,7 @@ def cmd_gen_data(args) -> int:
     if args.seed < 0:
         raise ConfigError("seed must be nonnegative")
     # Only the flags given reach the config; the rest keep BlobsDataConfig's defaults.
-    names = ("n_classes", "dim", "samples_per_class", "spread")
+    names = {f.name for f in fields(BlobsDataConfig)}
     given = {k: v for k, v in vars(args).items() if k in names and v is not None}
     dc = from_dict(BlobsDataConfig, given, "gen-data")
     dataset = data.generate_blobs(dc.n_classes, dc.dim, dc.samples_per_class, dc.spread, args.seed)

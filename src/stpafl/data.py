@@ -8,7 +8,7 @@ default PCG64 generator, so every operation is bit-exact reproducible.
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,15 +137,20 @@ def generate_blobs(
     return LabeledDataset(features.reshape(-1, dim), labels, n_classes)
 
 
-def _read_idx_header(raw: bytes, path, expected_magic: int, n_dims: int):
+def _read_idx(path, magic: int, n_dims: int, unit: str):
+    """The dims of an IDX file and a view of exactly prod(dims) body bytes, read once."""
+    raw = np.fromfile(path, dtype=np.uint8)
     header_len = 4 + 4 * n_dims
     if len(raw) < header_len:
         raise IdxFormatError(f"{path}: file shorter than its header")
-    (magic,) = struct.unpack(">I", raw[:4])
-    if magic != expected_magic:
-        raise IdxFormatError(f"{path}: wrong magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
-    dims = struct.unpack(f">{n_dims}I", raw[4:header_len])
-    return dims, raw[header_len:]
+    # Python ints, so the product of the dims cannot wrap.
+    found, *dims = raw[:header_len].view(">u4").tolist()
+    if found != magic:
+        raise IdxFormatError(f"{path}: wrong magic 0x{found:08x}, expected 0x{magic:08x}")
+    expected, body = math.prod(dims), raw[header_len:]
+    if len(body) < expected:
+        raise IdxFormatError(f"{path}: expected {expected} {unit} bytes, got {len(body)}")
+    return dims, body[:expected]
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
@@ -153,28 +158,16 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
 
     Pixel bytes use the fixed [0, 255] range, so 0 -> -1.0 and 255 -> 1.0.
     """
-    with open(images_path, "rb") as fh:
-        raw = fh.read()
-    (n_images, rows, cols), body = _read_idx_header(raw, images_path, IDX_IMAGES_MAGIC, 3)
-    expected = n_images * rows * cols
-    if len(body) < expected:
-        raise IdxFormatError(f"{images_path}: expected {expected} pixel bytes, got {len(body)}")
-    pixels = np.frombuffer(body[:expected], dtype=np.uint8).reshape(n_images, rows * cols)
-
-    with open(labels_path, "rb") as fh:
-        raw = fh.read()
-    (n_labels,), body = _read_idx_header(raw, labels_path, IDX_LABELS_MAGIC, 1)
-    if len(body) < n_labels:
-        raise IdxFormatError(f"{labels_path}: expected {n_labels} label bytes, got {len(body)}")
-    labels = np.frombuffer(body[:n_labels], dtype=np.uint8).astype(np.int64)
-
+    (n_images, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "pixel")
+    (n_labels,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "label")
     if n_labels != n_images:
         raise IdxFormatError(
             f"{images_path} has {n_images} images but {labels_path} has {n_labels} labels"
         )
     # In place: the two roundings of pixels * (2 / 255) - 1, and one float64
     # copy even below 256 KiB, where numpy stops eliding the temporary.
-    features = pixels.astype(np.float64)
+    features = pixels.reshape(n_images, rows * cols).astype(np.float64)
+    del pixels  # the file's bytes go before LabeledDataset's finiteness mask is made
     features *= 2.0 / 255.0
     features -= 1.0
     n_classes = int(labels.max()) + 1 if n_labels else 1
@@ -237,10 +230,14 @@ def load_csv(path) -> LabeledDataset:
         width = len(fh.readline().split(",")) - 1  # column header: label, then features
         labels = []
         rows = []
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            labels.append(int(parts[0]))
-            rows.append([float(x) for x in parts[1:]])
-    # A file without rows takes its width from the header, so it loads as (0, width).
-    features = np.array(rows, dtype=np.float64) if rows else np.empty((0, width))
+        for lineno, line in enumerate(fh, start=3):
+            label, *row = line.rstrip("\n").split(",")
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}: line {lineno} has {len(row)} features, the header has {width}"
+                )
+            labels.append(int(label))
+            rows.append([float(x) for x in row])
+    # Every row has the header's width, so a file without rows loads as (0, width).
+    features = np.array(rows, dtype=np.float64).reshape(len(rows), width)
     return LabeledDataset(features, np.array(labels, dtype=np.int64), n_classes)

@@ -159,13 +159,16 @@ def build_data(cfg: ScenarioConfig) -> tuple[data.LabeledDataset, data.LabeledDa
         full = data.generate_blobs(dc.n_classes, dc.dim, per_class, dc.spread, cfg.seed)
         train = np.arange(len(full)) % per_class < dc.samples_per_class
         return full.subset(np.flatnonzero(train)), full.subset(np.flatnonzero(~train))
-    if dc.kind == "idx":
-        return (
-            data.load_idx(dc.train_images, dc.train_labels),
-            data.load_idx(dc.test_images, dc.test_labels),
-        )
-    if dc.kind == "csv":
-        return data.load_csv(dc.train_path), data.load_csv(dc.test_path)
+    try:
+        if dc.kind == "idx":
+            return (
+                data.load_idx(dc.train_images, dc.train_labels),
+                data.load_idx(dc.test_images, dc.test_labels),
+            )
+        if dc.kind == "csv":
+            return data.load_csv(dc.train_path), data.load_csv(dc.test_path)
+    except OSError as exc:  # a path the config names cannot be read
+        raise ConfigError(f"cannot read data: {exc}") from exc
     raise ValueError(f"unknown data kind: {dc.kind}")
 
 
@@ -223,10 +226,7 @@ def train_clients(model, w_t, pool: data.ClientPool, ids, cfg: ScenarioConfig, r
         lo, hi = np.searchsorted(ids, (stack.ids[0], stack.ids[-1] + 1))
         if lo == hi:
             continue
-        rows = ids[lo:hi] - stack.ids[0]
-        if rows[-1] - rows[0] + 1 == len(rows):  # a run of rows: a view, no copy
-            rows = slice(rows[0], rows[-1] + 1)
-        group = stack.take(rows)
+        group = stack.take(ids[lo:hi] - stack.ids[0])
         seeds = None
         if cfg.train.batch_size is not None:
             seeds = [derive_seed(cfg.seed, 4, r, int(cid)) for cid in group.ids]

@@ -340,6 +340,33 @@ def test_csv_test_set_with_an_infinite_feature_exits_1_before_output(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, missing",
+    [("csv", "train_path"), ("idx", "train_labels"), ("csv", "directory"), ("idx", "directory")],
+    ids=["csv_train_path", "idx_labels_path", "csv_directory", "idx_directory"],
+)
+def test_data_file_that_cannot_be_read_exits_2_before_output(tmp_path, capsys, kind, missing):
+    if kind == "csv":
+        data_cfg = csv_data(tmp_path)
+    else:
+        (tmp_path / "images.idx").write_bytes(idx_image_bytes([[[0]], [[9]], [[0]], [[9]]]))
+        (tmp_path / "labels.idx").write_bytes(idx_label_bytes([0, 1, 0, 1]))
+        data_cfg = {"kind": "idx"}
+        for split in ("train", "test"):
+            data_cfg[f"{split}_images"] = str(tmp_path / "images.idx")
+            data_cfg[f"{split}_labels"] = str(tmp_path / "labels.idx")
+    name = next(k for k in data_cfg if k != "kind")  # the first path the config names
+    if missing == "directory":
+        data_cfg[name] = str(tmp_path)
+    else:
+        data_cfg[missing] = str(tmp_path / "absent")
+    cfg_path = write_config(tmp_path, base_config(data=data_cfg))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config error: cannot read data: [Errno" in capsys.readouterr().err
+    assert not out.exists()
+
+
 EVERY_RULE = pytest.mark.parametrize(
     "rule",
     [

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,46 @@ def test_load_idx_short_file(tmp_path, images, labels, message):
         data.load_idx(ip, lp)
 
 
+def test_load_idx_reads_only_the_declared_counts(tmp_path):
+    ip = tmp_path / "imgs.idx"
+    lp = tmp_path / "labels.idx"
+    ip.write_bytes(idx_image_bytes([[[0, 255]], [[255, 0]]]) + b"\x07" * 5)
+    lp.write_bytes(idx_label_bytes([1, 0]) + b"\x09" * 3)
+    ds = data.load_idx(ip, lp)
+    assert np.array_equal(ds.features, [[-1.0, 1.0], [1.0, -1.0]])
+    assert np.array_equal(ds.labels, [1, 0])
+    assert ds.n_classes == 2
+
+
+def test_load_idx_dims_past_int64_keep_their_exact_product(tmp_path):
+    ip = tmp_path / "imgs.idx"
+    lp = tmp_path / "labels.idx"
+    big = 2**32 - 1  # three of them multiply past 2^63
+    ip.write_bytes(struct.pack(">IIII", 0x00000803, big, big, big) + b"\x00" * 4)
+    lp.write_bytes(idx_label_bytes([0]))
+    with pytest.raises(IdxFormatError, match=f"expected {big**3} pixel bytes, got 4$"):
+        data.load_idx(ip, lp)
+
+
+def test_load_idx_peak_memory_holds_the_file_once(tmp_path):
+    # 5000 28x28 images: 29.9 MiB of float64 features from a 3.7 MiB file.
+    # The bytes of the file and the features' finiteness mask, each the
+    # file's size, must not be alive at once.
+    images = np.random.default_rng(0).integers(0, 256, size=(5000, 28, 28))
+    ip = tmp_path / "imgs.idx"
+    lp = tmp_path / "labels.idx"
+    ip.write_bytes(idx_image_bytes(images))
+    lp.write_bytes(idx_label_bytes(np.arange(5000) % 10))
+    del images
+    tracemalloc.start()
+    try:
+        ds = data.load_idx(ip, lp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.features.nbytes + 1.5 * ip.stat().st_size
+
+
 def test_load_idx_count_mismatch(tmp_path):
     ip = tmp_path / "imgs.idx"
     lp = tmp_path / "labels.idx"
@@ -209,6 +250,16 @@ def test_csv_without_rows_loads_header_width(tmp_path):
     back = data.load_csv(p)
     assert back.features.shape == (0, 4)
     assert len(back.labels) == 0 and back.n_classes == 3
+
+
+@pytest.mark.parametrize(
+    "row, n_features", [("1,0.1", 1), ("1,0.1,0.2,0.3", 3)], ids=["short_row", "long_row"]
+)
+def test_csv_row_width_must_match_the_header(tmp_path, row, n_features):
+    p = tmp_path / "ragged.csv"
+    p.write_text(f"# n_classes=2\nlabel,f0,f1\n0,0.5,0.5\n{row}\n")
+    with pytest.raises(ValueError, match=f"line 4 has {n_features} features, the header has 2$"):
+        data.load_csv(p)
 
 
 def test_csv_without_n_classes_line_rejected(tmp_path):
