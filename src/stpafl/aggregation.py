@@ -1,7 +1,5 @@
 """Baseline Byzantine-resilient aggregation rules over a round's (n, d) submissions."""
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -10,8 +10,6 @@ can draw one honest client or none, and with none g is 0, so the malicious
 clients submit w_t.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

@@ -10,10 +10,7 @@ Seed precedence: config file < BB_SEED env var < --seed flag.
 Exit codes: 0 success, 1 runtime error, 2 usage/config error.
 """
 
-from __future__ import annotations
-
 import argparse
-import builtins
 import itertools
 import json
 import math
@@ -21,6 +18,7 @@ import os
 import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -41,24 +39,21 @@ CSV_COLUMNS = (
 def from_dict(cls, obj: dict, where: str):
     """Build the config dataclass cls from a JSON object.
 
-    The dataclass's fields are the schema. A field annotated with a config
-    dataclass recurses; a union of them picks the member whose `kind` default
-    matches obj["kind"]. Leaf values must match the annotation: a float field
-    takes an int and must be finite, as a float, and bool passes for neither.
-    Range checks are the dataclasses' own __post_init__.
+    The dataclass's fields are the schema, as live annotations: no module here
+    postpones their evaluation. A config dataclass field recurses; a union of
+    them picks the member whose `kind` default matches obj["kind"]. Leaf values
+    must match the annotation: a float field takes an int and must be finite,
+    as a float, and bool passes for neither. Range checks are __post_init__'s.
     """
     types = {f.name: f.type for f in fields(cls)}
     unknown = obj.keys() - types.keys()
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    # Annotations are strings (postponed evaluation); look the names up where
-    # the dataclass is defined.
-    scope = vars(sys.modules[cls.__module__])
     kwargs = {}
     for key, value in obj.items():
         path = f"{where}.{key}"
-        names = types[key].split(" | ")
-        members = [type(None) if n == "None" else scope.get(n) or getattr(builtins, n) for n in names]
+        t = types[key]
+        members = get_args(t) or (t,)
         if is_dataclass(members[0]):
             if not isinstance(value, dict):
                 raise ConfigError(f"{path} must be a JSON object")
@@ -70,9 +65,10 @@ def from_dict(cls, obj: dict, where: str):
             value = from_dict(members[0], value, path)
         else:
             if float in members:
-                members.append(int)
-            if isinstance(value, bool) or not isinstance(value, tuple(members)):
-                raise ConfigError(f"{path} must be {types[key]}, got {type(value).__name__}")
+                members += (int,)
+            if isinstance(value, bool) or not isinstance(value, members):
+                name = t.__name__ if isinstance(t, type) else t  # a union prints as int | None
+                raise ConfigError(f"{path} must be {name}, got {type(value).__name__}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{path} must be finite, got {value}")
             if isinstance(value, int) and float in members:

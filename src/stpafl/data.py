@@ -6,8 +6,6 @@ All stochastic operations take an explicit integer seed and use numpy's
 default PCG64 generator, so every operation is bit-exact reproducible.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -176,8 +174,6 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
 
 def partition_iid(dataset: LabeledDataset, n_clients: int, seed: int) -> list[np.ndarray]:
     """Shuffle rows by seed, then deal round-robin; sizes differ by at most 1."""
-    if n_clients < 1:
-        raise ValueError("n_clients must be >= 1")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(dataset))
     return [perm[k::n_clients].copy() for k in range(n_clients)]
@@ -226,18 +222,23 @@ def load_csv(path) -> LabeledDataset:
         first = fh.readline().strip()
         if not first.startswith("# n_classes="):
             raise ValueError(f"{path}: missing n_classes header line")
-        n_classes = int(first.split("=", 1)[1])
+        try:
+            n_classes = int(first.split("=", 1)[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line 1: {exc}") from None
         width = len(fh.readline().split(",")) - 1  # column header: label, then features
-        labels = []
-        rows = []
+        labels, rows = [], []
         for lineno, line in enumerate(fh, start=3):
             label, *row = line.rstrip("\n").split(",")
             if len(row) != width:
                 raise ValueError(
                     f"{path}: line {lineno} has {len(row)} features, the header has {width}"
                 )
-            labels.append(int(label))
-            rows.append([float(x) for x in row])
+            try:
+                labels.append(int(label))
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     # Every row has the header's width, so a file without rows loads as (0, width).
     features = np.array(rows, dtype=np.float64).reshape(len(rows), width)
     return LabeledDataset(features, np.array(labels, dtype=np.int64), n_classes)

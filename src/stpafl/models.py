@@ -6,8 +6,6 @@ documented packing order, so aggregation rules can treat client submissions
 as plain vectors.
 """
 
-from __future__ import annotations
-
 import math
 import threading
 from dataclasses import dataclass
@@ -142,7 +140,7 @@ class Model:
         self.dim = end
         self.width = max(sizes[1:])  # widest per-sample activation; sizes training blocks
 
-    def init_params(self, rng: np.random.Generator) -> np.ndarray:
+    def init_params(self, rng: "np.random.Generator") -> np.ndarray:  # see simulation.ExperimentState
         return np.concatenate(
             [
                 rng.uniform(-1.0 / np.sqrt(n_in), 1.0 / np.sqrt(n_in), size=end - start)
@@ -258,8 +256,6 @@ def local_train(
     result is the same bits either way. An error in either thread is raised
     here once the helper is joined.
     """
-    if len(stack) == 0:
-        raise ValueError("empty dataset")
     K, n = stack.labels.shape
     p = np.empty((K,) + params.shape) if out is None else out
     p[...] = params
@@ -318,8 +314,6 @@ def _descend(model, p: np.ndarray, block: ClientStack, cfg: TrainConfig, seeds) 
 
 def evaluate_error(model, params: np.ndarray, dataset: LabeledDataset) -> float:
     """Percentage of misclassified samples; argmax ties go to the smallest class."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     pred = np.argmax(model.logits(params, dataset.features), axis=1)
     # np.mean's float64 count over n, as one exact count and one division.
     return float(100.0 * (np.count_nonzero(pred != dataset.labels) / len(pred)))

@@ -7,8 +7,6 @@ block writes only its own clients' rows, so local training on two threads
 (models.local_train) cannot change the aggregate.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -140,10 +138,10 @@ class ExperimentState:
     global_model: np.ndarray
     momentum: np.ndarray
     round_index: int
-    select_rng: np.random.Generator
+    select_rng: "np.random.Generator"  # quoted, so numpy.random loads at first use, not on import
 
 
-def select_clients(cfg: ScenarioConfig, rng: np.random.Generator) -> list[int]:
+def select_clients(cfg: ScenarioConfig, rng: "np.random.Generator") -> list[int]:  # see select_rng
     """Full roster in cross-silo; sorted uniform sample in cross-device."""
     if cfg.scenario == "cross_silo":
         return list(range(cfg.n_clients))

@@ -24,8 +24,6 @@ merge loop runs only when the check fails. IPM rosters pass it; ALIE rosters,
 whose row sits among the honest ones, do not.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -79,8 +77,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
     Returns 0.0 if either vector has norm below ZERO_NORM_EPS.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     na = math.sqrt(a @ a)
     nb = math.sqrt(b @ b)
     if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
@@ -103,8 +99,6 @@ def build_affinity(global_model: np.ndarray, X: np.ndarray) -> np.ndarray:
     numpy computes G @ G.T as one symmetric product, so S is exactly symmetric.
     """
     n = len(X)
-    if n < 2:
-        raise ValueError("need at least 2 updates to build an affinity matrix")
     if n <= PAIRWISE_MAX_SLOTS:
         deltas = [global_model - x for x in X]
         S = np.ones((n, n))
@@ -167,8 +161,6 @@ def bipartition(S: np.ndarray) -> tuple[tuple, tuple]:
     that the merges would not reach.
     """
     n = S.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 slots to bipartition")
     S = np.asarray(S, dtype=np.float64)
     certified = _certified_split(S)
     if certified is not None:
@@ -224,8 +216,6 @@ def stpa_round(
     when alpha <= 0. Returns the outcome and the updated v, which advances
     even when the step is discarded. w_t, X and the incoming v are not modified.
     """
-    if len(X) == 0:
-        raise ValueError("empty update list")
     if len(X) == 1:
         benign = [0]
     else:

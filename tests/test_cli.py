@@ -6,6 +6,7 @@ import sys
 import time
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -341,6 +342,38 @@ def test_csv_test_set_with_an_infinite_feature_exits_1_before_output(tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "index, text, message",
+    [
+        pytest.param(
+            0, "# n_classes=ten", "{path}: line 1: invalid literal for int() with base 10: 'ten'",
+            id="n_classes_ten",
+        ),
+        pytest.param(
+            2, "x,0.1,0.2,0.3,0.4", "{path}: line 3: invalid literal for int() with base 10: 'x'",
+            id="label",
+        ),
+        pytest.param(
+            3, "0,0.1,abc,0.3,0.4", "{path}: line 4: could not convert string to float: 'abc'",
+            id="feature",
+        ),
+        pytest.param(0, "# n_classes=0", "n_classes must be positive", id="n_classes_0"),
+        pytest.param(0, "# n_classes=-3", "n_classes must be positive", id="n_classes_neg"),
+    ],
+)
+def test_csv_contents_that_cannot_load_exit_1_before_output(tmp_path, capsys, index, text, message):
+    data_cfg = csv_data(tmp_path)
+    train_csv = tmp_path / "train.csv"
+    lines = train_csv.read_text().splitlines()
+    lines[index] = text  # the n_classes line is line 1
+    train_csv.write_text("\n".join(lines) + "\n")
+    cfg_path = write_config(tmp_path, base_config(data=data_cfg))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"runtime error: {message.format(path=train_csv)}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "kind, missing",
     [("csv", "train_path"), ("idx", "train_labels"), ("csv", "directory"), ("idx", "directory")],
     ids=["csv_train_path", "idx_labels_path", "csv_directory", "idx_directory"],
@@ -566,6 +599,25 @@ CONFIG_CLASSES = (
     CsvDataConfig,
     PartitionConfig,
 )
+
+
+def _annotations(cls):
+    """(class, field name, annotation) of cls's fields and of every config class they name."""
+    for f in fields(cls):
+        yield cls, f.name, f.type
+        for member in get_args(f.type) or (f.type,):
+            if is_dataclass(member):
+                yield from _annotations(member)
+
+
+def test_config_annotations_are_live_types():
+    # from_dict reads each field's annotation as a type object. A config module
+    # that postponed their evaluation would hand it strings, and parsing would
+    # fail with isinstance's TypeError (exit 1) where a bad value exits 2.
+    found = [*_annotations(ScenarioConfig), *_annotations(BlobsDataConfig)]
+    assert [f"{c.__name__}.{name}" for c, name, t in found if isinstance(t, str)] == []
+    assert {c for c, _, _ in found} == set(CONFIG_CLASSES)
+
 
 # Between them these set every field of every config class away from its
 # default, and use every rule, attack and data kind.

@@ -37,3 +37,15 @@ def test_cli_import_loads_no_executor_or_logging():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads when the first generator is made, in a run's setup.
+    # An evaluated annotation that names np.random would load it at import:
+    # about 9 ms that a config error, which exits before any generator, would
+    # then pay too.
+    src = str(Path(stpafl.__file__).parent.parent)
+    code = "import sys, stpafl.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
