@@ -67,6 +67,16 @@ CONFIGS = {
         "rule": {"kind": "coordinate_median"},
         "data": SMALL_BLOBS,
     },
+    # 40 rows per client at hidden width 200 train 8 clients to a block, so
+    # each round's 10 clients take 2 blocks and local_train starts its helper.
+    "median_silo_noisy_mlp_blocks": {
+        "scenario": "cross_silo", "n_clients": 10, "n_malicious": 3,
+        "clients_per_round": 10, "rounds": 5, "seed": 10,
+        "attack": {"kind": "noisy"},
+        "rule": {"kind": "coordinate_median"},
+        "model": {"kind": "mlp", "hidden": 200},
+        "data": SMALL_BLOBS,
+    },
     "fed_avg_device_label_flip_shards": {
         "scenario": "cross_device", "n_clients": 20, "n_malicious": 4,
         "clients_per_round": 8, "rounds": 20, "seed": 8,
@@ -114,6 +124,10 @@ GOLDEN = {
     "median_silo_noisy": {
         "rounds.jsonl": "95bea699ad25c93d81fbf9dbfa6007b1fe2ce6b508b5f91c38684ce527a7f99b",
         "summary.csv": "93acdfbf78d8673698d2ff1bc64ac263d3fb27d3de4f53d0ac7edd50f7f707f4",
+    },
+    "median_silo_noisy_mlp_blocks": {
+        "rounds.jsonl": "c7470146d7f7deb4e94d4616577e601386b20f5fc3b2d7928d3215c52bf24f0e",
+        "summary.csv": "a74ead8ca0ee1f008ea0448acdb9dd1bc15ea276b254a487c2f23e21b9e42200",
     },
     "stpa_device_ipm": {
         "rounds.jsonl": "121ade98de99f96db66d44f0b9e1776054ba481da15b2819cc4b4736e4bcea41",
