@@ -71,8 +71,9 @@ class ClientStack:
 class ClientPool:
     """Every client's dataset, one ClientStack per distinct size.
 
-    Each stack holds consecutive client ids: partition_iid deals the larger
-    size to the lowest ids, and shards give every client one size.
+    Each stack holds consecutive client ids, which train_clients relies on
+    and both partitioners guarantee: partition_iid deals the larger size to
+    the lowest ids, and shards give every client one size.
     """
 
     stacks: list  # ClientStack, by ascending size
@@ -86,8 +87,6 @@ class ClientPool:
         # sorted(set()) rather than np.unique, whose first call imports numpy.ma.
         for n in sorted(set(counts.tolist())):
             ids = np.flatnonzero(counts == n)
-            if ids[-1] - ids[0] + 1 != len(ids):
-                raise ValueError(f"the clients of size {n} do not have consecutive ids")
             rows = np.stack([assignments[cid] for cid in ids])
             stacks.append(ClientStack(ids, dataset.features[rows], dataset.labels[rows]))
         return cls(stacks, counts)
@@ -227,8 +226,12 @@ def load_csv(path) -> LabeledDataset:
         except ValueError as exc:
             raise ValueError(f"{path}: line 1: {exc}") from None
         width = len(fh.readline().split(",")) - 1  # column header: label, then features
-        labels, rows = [], []
+        labels, rows, blank = [], [], None
         for lineno, line in enumerate(fh, start=3):
+            if not line.strip():  # held back: a blank line fails below only if a row follows
+                blank = blank or (lineno, line)
+                continue
+            lineno, line = blank or (lineno, line)
             label, *row = line.rstrip("\n").split(",")
             if len(row) != width:
                 raise ValueError(

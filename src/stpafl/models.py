@@ -92,21 +92,18 @@ def _label_index(y: np.ndarray) -> np.ndarray:
 def _softmax_residual(logits: np.ndarray, labels: np.ndarray, P: np.ndarray) -> np.ndarray:
     """d(mean cross-entropy)/d(logits) = (softmax - onehot(y)) / n_samples.
 
-    labels is _label_index(y). Overwrites logits, laid out sample-major as in
-    Model.buffers, and returns it; any other layout raises ValueError, since
-    the residual would land in a copy. The work runs class-major, on a (C, M)
-    copy of the M rows of logits, made in P. Row-major, the max and the sum
-    reduce the short class axis (10 wide here) once per row, M times per
-    call, and that per-row cost dominated a linear gradient step;
-    class-major, each step is a few calls over rows of length M, and the
-    division by n_samples runs on contiguous P before one transposed copy
-    back. _sum_rows keeps the normalising sums equal to np.sum(axis=-1) bit
-    for bit, so trained models do not change.
+    labels is _label_index(y). Overwrites logits and returns it. logits must be
+    sample-major, as Model.buffers, its only source, lays it out: in another
+    layout the residual would land in a reshape copy and be lost. The work runs
+    class-major, on a (C, M) copy of the M rows of logits, made in P. Row-major,
+    the max and the sum reduce the short class axis once per row, M times per
+    call, and that per-row cost dominated a linear gradient step; class-major,
+    each step is a few calls over rows of length M, and the division by
+    n_samples runs on contiguous P before one transposed copy back. _sum_rows
+    keeps the normalising sums equal to np.sum(axis=-1) bit for bit, so trained
+    models do not change.
     """
-    rows = logits.swapaxes(0, -2)
-    if not rows.flags.c_contiguous:
-        raise ValueError("logits must be sample-major: logits.swapaxes(0, -2) C-contiguous")
-    flat = rows.reshape(-1, logits.shape[-1])
+    flat = logits.swapaxes(0, -2).reshape(-1, logits.shape[-1])
     P[...] = flat.T
     P -= np.maximum.reduce(P, axis=0)
     np.exp(P, out=P)

@@ -122,14 +122,6 @@ def test_trimmed_mean_degenerate_trim_is_plain_mean():
     assert out[0] == pytest.approx(7.0 / 3.0)
 
 
-def test_trimmed_mean_gamma_bounds():
-    X, _ = mk([[1.0], [2.0]])
-    with pytest.raises(ValueError):
-        aggregation.trimmed_mean(X, 0.0)
-    with pytest.raises(ValueError):
-        aggregation.trimmed_mean(X, 0.5)
-
-
 # ---------------------------------------------------------------- krum
 
 def test_krum_identical_updates():
@@ -194,14 +186,6 @@ def test_krum_scores_match_reference(n, d, f, integer):
 def test_client_update_dim():
     # The benchmark tracer sizes krum_scores' work from updates[0].dim.
     assert ClientUpdate(np.array([1.0, 2.0])).dim == 2
-
-
-def test_krum_parameter_validation():
-    X, _ = mk([[0.0]] * 4)
-    with pytest.raises(ValueError):
-        aggregation.krum_scores(as_updates(X), 2, range(4))  # n - f - 2 = 0
-    with pytest.raises(ValueError):
-        aggregation.krum_selection(X, 1, 2)  # m > n - f - 2
 
 
 @st.composite
@@ -290,15 +274,13 @@ def test_rule_validation():
         AggregationRule("majority_vote")
     with pytest.raises(ValueError):
         AggregationRule("trimmed_mean")  # gamma required
+    for gamma in (0.0, 0.5):  # gamma must lie in (0, 0.5)
+        with pytest.raises(ValueError):
+            AggregationRule("trimmed_mean", gamma=gamma)
     with pytest.raises(ValueError):
         AggregationRule("krum", f=1)  # m required
     with pytest.raises(ValueError):
         apply_rule(AggregationRule("stpa"), *mk([[0.0]]))
-
-
-def test_empty_and_mismatched_updates_rejected():
-    with pytest.raises(ValueError):
-        aggregation.fed_avg(np.empty((0, 1)), np.empty(0, dtype=np.int64))
 
 
 def matrices(bound):

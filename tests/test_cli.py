@@ -807,6 +807,23 @@ def test_small_roster_runs_through_rounds_with_few_honest_clients(tmp_path, atta
     assert all(np.isfinite(log["test_error_pct"]) for log in logs)
 
 
+def test_one_client_rounds_under_stpa(tmp_path):
+    # stpa keeps a lone row. A lone malicious client has no honest row to
+    # read, so IPM's g is 0 and it submits w_t: the step is 0, alpha is 0,
+    # and the round is discarded.
+    cfg = base_config(
+        scenario="cross_device", n_clients=6, n_malicious=2, clients_per_round=1, rounds=12,
+        attack={"kind": "ipm"}, rule={"kind": "stpa"},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    logs = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
+    assert len(logs) == 12 and all(log["benign_kept"] == 1 for log in logs)
+    malicious = [log for log in logs if log["malicious_selected"] == 1]
+    assert malicious and len(malicious) < len(logs)
+    assert all(log["alpha"] == 0.0 and log["discarded"] for log in malicious)
+
+
 def test_sweep_rows_and_consistency(tmp_path):
     cfg = base_config(n_clients=10, clients_per_round=10, n_malicious=0, rounds=4)
     cfg_path = write_config(tmp_path, cfg)

@@ -194,8 +194,8 @@ def test_client_pool_stacks_hold_consecutive_ids():
     ds = LabeledDataset(np.zeros((103, 1)), np.zeros(103, dtype=int), 1)
     pool = data.ClientPool.from_partition(ds, data.partition_iid(ds, 10, 0))
     assert [s.ids.tolist() for s in pool.stacks] == [list(range(3, 10)), [0, 1, 2]]
-    with pytest.raises(ValueError, match="^the clients of size 1 do not have consecutive ids$"):
-        data.ClientPool.from_partition(ds, [np.arange(1), np.arange(2), np.arange(1)])
+    pool = data.ClientPool.from_partition(ds, data.partition_noniid_shards(ds, 10, 2, 5, 0))
+    assert [s.ids.tolist() for s in pool.stacks] == [list(range(10))]
 
 
 def test_partition_iid_deterministic():
@@ -259,6 +259,18 @@ def test_csv_row_width_must_match_the_header(tmp_path, row, n_features):
     p = tmp_path / "ragged.csv"
     p.write_text(f"# n_classes=2\nlabel,f0,f1\n0,0.5,0.5\n{row}\n")
     with pytest.raises(ValueError, match=f"line 4 has {n_features} features, the header has 2$"):
+        data.load_csv(p)
+
+
+def test_csv_blank_lines_load_only_at_the_end(tmp_path):
+    p = tmp_path / "trailing.csv"
+    p.write_text("# n_classes=2\nlabel,f0,f1\n0,0.5,0.5\n1,0.1,0.2\n\n \n")
+    back = data.load_csv(p)
+    assert back.features.tolist() == [[0.5, 0.5], [0.1, 0.2]]
+    assert back.labels.tolist() == [0, 1]
+    # A blank line before a row fails as it always did, at its own line.
+    p.write_text("# n_classes=2\nlabel,f0,f1\n0,0.5,0.5\n\n\n1,0.1,0.2\n")
+    with pytest.raises(ValueError, match="line 4 has 0 features, the header has 2$"):
         data.load_csv(p)
 
 

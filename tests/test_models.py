@@ -358,17 +358,6 @@ def test_softmax_residual_equals_row_wise_reference(lead, C):
     assert np.array_equal(got, want, equal_nan=True)
 
 
-@pytest.mark.parametrize("C", [2, 10])
-def test_softmax_residual_rejects_a_row_major_block(C):
-    # Its residual would land in a reshape copy and be lost.
-    rng = np.random.default_rng(C)
-    logits, y = rng.standard_normal((4, 12, C)), rng.integers(0, C, size=(4, 12))
-    kept = logits.copy()
-    with pytest.raises(ValueError, match="sample-major"):
-        models._softmax_residual(logits, models._label_index(y), np.empty((C, y.size)))
-    assert np.array_equal(logits, kept)
-
-
 def per_client_train(model, params, dataset, cfg, seed=0):
     """Reference: the one-client-at-a-time training loop the stacked path replaced."""
     rng = np.random.default_rng(seed)
