@@ -77,6 +77,18 @@ CONFIGS = {
         "model": {"kind": "mlp", "hidden": 200},
         "data": SMALL_BLOBS,
     },
+    # The same two blocks of 40-row clients, each step on a 16-row minibatch:
+    # the hidden layer's residual scratch is minibatch-sized. Label flipping
+    # trains all 10 clients, so both blocks run every round.
+    "krum_silo_label_flip_mlp_minibatch": {
+        "scenario": "cross_silo", "n_clients": 10, "n_malicious": 3,
+        "clients_per_round": 10, "rounds": 5, "seed": 13,
+        "attack": {"kind": "label_flip", "target": 0},
+        "rule": {"kind": "krum", "f": 3, "m": 2},
+        "model": {"kind": "mlp", "hidden": 200},
+        "train": {"batch_size": 16},
+        "data": SMALL_BLOBS,
+    },
     "fed_avg_device_label_flip_shards": {
         "scenario": "cross_device", "n_clients": 20, "n_malicious": 4,
         "clients_per_round": 8, "rounds": 20, "seed": 8,
@@ -120,6 +132,10 @@ GOLDEN = {
     "krum_silo_gauss_mlp": {
         "rounds.jsonl": "4573d6ed04863dbf470f834f3a527c756bc3cd70753157c8bc0a9d2b8867adf6",
         "summary.csv": "ba9a776a9439c808e76794799546d29e6df4e69ceef480bd16485b8c9b04463c",
+    },
+    "krum_silo_label_flip_mlp_minibatch": {
+        "rounds.jsonl": "bcffc9fa789aef38b8a664edc4d5006fc8bbd58b2c57a351dc9af114f26e6dab",
+        "summary.csv": "8cfabe8c39be62c9a8966a420328421786d31d68dc486126e583c64c8b2a3132",
     },
     "median_silo_noisy": {
         "rounds.jsonl": "95bea699ad25c93d81fbf9dbfa6007b1fe2ce6b508b5f91c38684ce527a7f99b",
