@@ -156,23 +156,24 @@ class Model:
     def buffers(self, shape: tuple[int, ...]) -> tuple:
         """Scratch for gradient on labels of this shape, lead + (N,).
 
-        (outs, deltas, P, grad, grads): each layer's output, (…, N, n_out),
-        which holds the tanh activations and the logits; one backpropagated
-        residual per hidden layer, shaped like its output; the (C, M)
-        class-major softmax copy; the (…, dim) packed gradient, and its
+        (outs, scratch, P, grad, grads): each layer's output, (…, N, n_out),
+        which holds the tanh activations and the logits, and then the hidden
+        layers' backpropagated residuals; one client's (N, n_out) product per
+        hidden layer, which the backward pass forms one client at a time; the
+        (C, M) class-major softmax copy; the (…, dim) packed gradient, and its
         unpack views, which the backward pass writes. The logits are a
         sample-major (N, …, C) array seen through swapaxes(0, -2), so the
         bias gradient sums contiguous rows; the hidden outputs stay
         row-major, which the MLP and ALIE steps run faster on.
         """
         outs = [np.empty(shape + (n_out,)) for (n_out, _), *_ in self._layers[:-1]]
-        deltas = [np.empty_like(h) for h in outs]
+        scratch = [np.empty(h.shape[-2:]) for h in outs]
         dims = [*shape, self._layers[-1][0][0]]
         dims[0], dims[-2] = dims[-2], dims[0]
         outs.append(np.empty(dims).swapaxes(0, -2))
         P = np.empty((outs[-1].shape[-1], math.prod(shape)))
         grad = np.empty(shape[:-1] + (self.dim,))
-        return outs, deltas, P, grad, self.unpack(grad)
+        return outs, scratch, P, grad, self.unpack(grad)
 
     @staticmethod
     def _forward(layers, X, outs):
@@ -198,7 +199,7 @@ class Model:
 
     def _gradient(self, layers, X, labels, buffers) -> np.ndarray:
         """gradient on unpack(params) and _label_index(y), into buffers."""
-        outs, deltas, P, grad, grads = buffers
+        outs, scratch, P, grad, grads = buffers
         delta = _softmax_residual(self._forward(layers, X, outs), labels, P)
         inputs = [X, *outs[:-1]]
         for k in reversed(range(len(inputs))):  # layer k: layers[2k] @ inputs[k] + layers[2k+1]
@@ -206,10 +207,12 @@ class Model:
             np.matmul(_T(delta), h, out=grads[2 * k])
             np.add.reduce(delta, axis=-2, out=grads[2 * k + 1])
             if k:
-                delta = np.matmul(delta, layers[2 * k], out=deltas[k - 1])
                 h *= h  # the activation's last use: it becomes tanh' = 1 - tanh^2
                 np.subtract(1.0, h, out=h)
-                delta *= h
+                # tanh' times delta @ W, one client at a time: the dgemm a batched matmul runs for it
+                for i in np.ndindex(h.shape[:-2]):
+                    h[i] *= np.matmul(delta[i], layers[2 * k][i], out=scratch[k - 1])
+                delta = h  # the residual, where the activation was
         return grad
 
 
