@@ -85,7 +85,7 @@ def from_dict(cls, obj: dict, where: str):
 
 def load_config(path, seed_flag: int | None) -> ScenarioConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -124,7 +124,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     jsonl_path = out / "rounds.jsonl"
     csv_path = out / "summary.csv"
-    with open(jsonl_path, "w") as jf, open(csv_path, "w") as cf:
+    with open(jsonl_path, "w", encoding="utf-8") as jf, open(csv_path, "w", encoding="utf-8") as cf:
         cf.write(",".join(CSV_COLUMNS) + "\n")
         cf.flush()
         for log in itertools.chain(head, logs):
@@ -159,7 +159,7 @@ def cmd_sweep(args) -> int:
         rows.append((fraction, cfg.rule.kind, cfg.attack.kind, float(errs.mean()), float(errs.std())))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w") as fh:
+    with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write("fraction,rule,attack,mean_final_error,std_final_error\n")
         for fraction, rule, attack, mean, std in rows:
             fh.write(f"{_fmt(fraction)},{rule},{attack},{_fmt(mean)},{_fmt(std)}\n")

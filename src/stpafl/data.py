@@ -207,7 +207,7 @@ def save_csv(dataset: LabeledDataset, path) -> None:
 
     Floats use repr for full round-trip precision; same dataset -> same bytes.
     """
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n_classes={dataset.n_classes}\n")
         cols = ",".join(f"f{j}" for j in range(dataset.n_features))
         fh.write(f"label,{cols}\n")
@@ -217,7 +217,7 @@ def save_csv(dataset: LabeledDataset, path) -> None:
 
 
 def load_csv(path) -> LabeledDataset:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
         if not first.startswith("# n_classes="):
             raise ValueError(f"{path}: missing n_classes header line")

@@ -3,8 +3,8 @@
 Clients [0, n_malicious) are malicious. Data-level attacks corrupt those
 clients' datasets once at setup; model-level attacks fire every round.
 Updates are always processed in ascending client-id order, and each training
-block writes only its own clients' rows, so local training on two threads
-(models.local_train) cannot change the aggregate.
+block writes only its own clients' rows, so how local training splits the
+clients into blocks (models.local_train) cannot change the aggregate.
 """
 
 import math

@@ -765,6 +765,33 @@ def test_killed_run_leaves_a_valid_prefix(tmp_path):
         assert row == ",".join(cli._fmt(rec[c]) for c in cli.CSV_COLUMNS)
 
 
+def test_text_files_name_their_encoding(tmp_path):
+    # With -X warn_default_encoding, an open() that leaves the encoding to the
+    # locale warns, and -W error turns that warning into exit 1.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    warn = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    stpafl = [sys.executable, *warn, "-m", "stpafl.cli"]
+    work = tmp_path / "donn\u00e9es"
+    work.mkdir()
+    paths = {}
+    for name, seed in (("train", 1), ("test", 2)):
+        paths[name] = str(work / f"{name}.csv")
+        gen = ["gen-data", "--classes", "3", "--dim", "4", "--samples-per-class", "10"]
+        proc = subprocess.run([*stpafl, *gen, "--seed", str(seed), "--out", paths[name]], env=env)
+        assert proc.returncode == 0
+    data_cfg = {"kind": "csv", "train_path": paths["train"], "test_path": paths["test"]}
+    cfg_path = work / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(data=data_cfg), ensure_ascii=False), encoding="utf-8")
+    for args in (["run"], ["sweep", "--fractions", "0.25"]):
+        out = ["--config", str(cfg_path), "--out", str(work / args[0])]
+        proc = subprocess.run([*stpafl, *args, *out], env=env)
+        assert proc.returncode == 0
+    assert (work / "run" / "rounds.jsonl").read_bytes().count(b"\n") == 3
+    assert (work / "sweep" / "sweep.csv").read_bytes().count(b"\n") == 2
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, base_config(seed=1))
     monkeypatch.setenv("BB_SEED", "2")
