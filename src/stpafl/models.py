@@ -7,6 +7,7 @@ as plain vectors.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,7 +229,9 @@ def make_model(cfg: ModelConfig, n_features: int, n_classes: int) -> Model:
 # allocator churn. With local_train's buffers reused across steps, three to a
 # block cut the Krum workload's perfbench round_ms_p90 by about 11%.
 # Thirteen to a block trained slower than three (20.1 vs 16.0 ms a round,
-# interleaved), likely because its buffers outgrow the 2 MB per-core L2.
+# interleaved), likely because its buffers outgrow the 2 MB per-core L2. That
+# holds with local_train's helper thread too: two blocks train at once, one
+# per core, so each block still has one core's L2 to itself.
 BLOCK_ELEMENTS = 65_536
 
 
@@ -246,18 +249,43 @@ def local_train(
     out when given. seeds, one per client, draw the minibatches and are read
     only for them.
 
-    The clients train one block of block_clients after another, on this
-    thread. A block writes only its own rows of the result, and a client's
-    model does not depend on its block, so the block size does not move the
-    result's bits.
+    The clients train in blocks of block_clients. With two or more blocks,
+    one helper thread and this one each take the next untrained block until
+    none is left. A block writes only its own rows of the result, and a
+    client's model depends neither on its block nor on the thread, so the
+    result is the same bits either way. An error in either thread is raised
+    here once the helper is joined.
     """
     K, n = stack.labels.shape
     p = np.empty((K,) + params.shape) if out is None else out
     p[...] = params
     step = block_clients(model, n)
-    for a in range(0, K, step):
-        block = slice(a, a + step)
-        _descend(model, p[block], stack.take(block), cfg, None if seeds is None else seeds[block])
+    starts = iter(range(0, K, step))  # both threads draw from it; next runs under the GIL
+
+    def train():
+        for a in starts:
+            block = slice(a, a + step)
+            _descend(model, p[block], stack.take(block), cfg, None if seeds is None else seeds[block])
+
+    if K <= step:
+        train()
+        return p
+    errors = []
+
+    def helper():
+        try:
+            train()
+        except BaseException as exc:  # re-raised below, once the helper is joined
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        train()
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
     return p
 
 

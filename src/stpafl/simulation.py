@@ -3,8 +3,8 @@
 Clients [0, n_malicious) are malicious. Data-level attacks corrupt those
 clients' datasets once at setup; model-level attacks fire every round.
 Updates are always processed in ascending client-id order, and each training
-block writes only its own clients' rows, so how local training splits the
-clients into blocks (models.local_train) cannot change the aggregate.
+block writes only its own clients' rows, so local training on two threads
+(models.local_train) cannot change the aggregate.
 """
 
 import math
@@ -217,14 +217,18 @@ def train_clients(model, w_t, pool: data.ClientPool, ids, cfg: ScenarioConfig, r
 
     Each size group trains in one models.local_train call. A stack holds
     consecutive client ids (ClientPool), so its clients' rows of out are one
-    slice, which local_train writes into.
+    slice, which local_train writes into. A group of consecutive ids, as in
+    every cross-silo round, is a view of its stack rather than a copy.
     """
     ids = np.asarray(ids, dtype=np.int64)
     for stack in pool.stacks:
         lo, hi = np.searchsorted(ids, (stack.ids[0], stack.ids[-1] + 1))
         if lo == hi:
             continue
-        group = stack.take(ids[lo:hi] - stack.ids[0])
+        rows = ids[lo:hi] - stack.ids[0]
+        if rows[-1] - rows[0] == hi - lo - 1:  # ascending and distinct, so consecutive
+            rows = slice(rows[0], rows[-1] + 1)
+        group = stack.take(rows)
         seeds = None
         if cfg.train.batch_size is not None:
             seeds = [derive_seed(cfg.seed, 4, r, int(cid)) for cid in group.ids]
@@ -261,6 +265,7 @@ def run_round(
 
     state.global_model = outcome.new_model
     state.round_index = r + 1
+    del rows, submitted  # aggregated; the test pass need not hold them beside its activations
     return RoundLog(
         round=r,
         selected=selected,

@@ -30,8 +30,8 @@ def test_package_imports_only_stdlib_and_numpy():
 
 def test_cli_import_loads_no_executor_or_logging():
     # A run's setup time counts every import. concurrent.futures brings
-    # logging with it, about 9 ms; local training runs on the calling thread
-    # and needs neither.
+    # logging with it, about 9 ms; the training helper thread needs only
+    # threading, which numpy imports anyway.
     src = str(Path(stpafl.__file__).parent.parent)
     code = "import sys, stpafl.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}

@@ -68,7 +68,7 @@ CONFIGS = {
         "data": SMALL_BLOBS,
     },
     # 40 rows per client at hidden width 200 train 8 clients to a block, so
-    # each round's 10 clients train in 2 blocks, one after the other.
+    # each round's 10 clients take 2 blocks and local_train starts its helper.
     "median_silo_noisy_mlp_blocks": {
         "scenario": "cross_silo", "n_clients": 10, "n_malicious": 3,
         "clients_per_round": 10, "rounds": 5, "seed": 10,

@@ -126,6 +126,30 @@ def test_rounds_hold_no_reference_to_the_training_set(monkeypatch):
     assert len(refs) == 1 and refs[0]() is None
 
 
+@pytest.mark.parametrize(
+    "rule", [AggregationRule("krum", f=1, m=1), AggregationRule("stpa")], ids=["krum", "stpa"]
+)
+def test_test_pass_runs_after_the_round_models_are_freed(monkeypatch, rule):
+    # Once aggregated, a round's (n, d) models are released, so the test
+    # pass's activations do not sit beside them at the round's memory peak.
+    submissions, evaluate_error = attacks.submissions, simulation.models.evaluate_error
+    refs, alive = [], []
+
+    def tracked(*args):
+        rows = submissions(*args)
+        refs.append(weakref.ref(rows))
+        return rows
+
+    def evaluate(*args):
+        alive.append(refs[-1]() is not None)
+        return evaluate_error(*args)
+
+    monkeypatch.setattr(attacks, "submissions", tracked)
+    monkeypatch.setattr(simulation.models, "evaluate_error", evaluate)
+    assert len(run_experiment(small_cfg(attack=AttackSpec("byzantine_gaussian"), rule=rule))) == 5
+    assert alive == [False] * 5
+
+
 def test_experiment_deterministic():
     cfg = small_cfg(attack=AttackSpec("byzantine_gaussian"), rule=AggregationRule("coordinate_median"))
     a = run_experiment(cfg)
